@@ -28,6 +28,7 @@ from .connection import (
 )
 from .errors import (
     DegenerateJet,
+    InvalidArgument,
     InvalidConnection,
     MixedFactor,
     NotASingularPoint,
@@ -67,6 +68,7 @@ from .monodromy import (
     PathSpec,
     PeriodJet,
     achieve_multiplicity,
+    achieve_with_jet,
     default_base,
     irreducibility_check,
     loop_paths,

@@ -23,12 +23,7 @@ from .bundle import Divisor, Section, SplittingType, parse_divisor
 from .connection import Connection, local_data
 from .errors import ParseError, ToolkitError, ValidationFailed
 from .exactalg import GaussRat, parse_gaussrat, parse_ratfun
-from .monodromy import (
-    achieve_multiplicity,
-    monodromy_generators,
-    ode_residual,
-    period_jet,
-)
+from .monodromy import achieve_with_jet, monodromy_generators, ode_residual
 from .wronskian import (
     apparent_singularities,
     cyclic_reduce,
@@ -321,8 +316,7 @@ def _cmd_sample_h(args):
 def _cmd_monodromy(args):
     conn, inputs = _load(args)
     base = complex(args.base) if args.base else None
-    report = monodromy_generators(conn, base=base, tol=args.tol,
-                                  parallel=args.parallel)
+    report = monodromy_generators(conn, base=base, tol=args.tol)
     return 0, inputs, {
         "base": _cpx(report.base),
         "points": [_cpx(p) for p in report.points],
@@ -340,19 +334,15 @@ def _cmd_achieve(args):
     conn, inputs = _load(args)
     E = _divisor_from_args(conn, args)
     t0 = complex(args.base) if args.base else _default_probe(conn)
-    section = achieve_multiplicity(conn, args.n, E, t0,
-                                   dual_index=args.order, tol=args.tol)
-    from .bundle import section_space_basis
-
-    d = len(section_space_basis(conn.splitting, E))
-    jets = period_jet(conn, section, t0, d, tol=args.tol).jet[:, args.order]
+    section, jet = achieve_with_jet(conn, args.n, E, t0,
+                                    dual_index=args.order, tol=args.tol)
     return 0, inputs, {
         "n": args.n,
         "twist_divisor": str(E),
         "t0": _cpx(t0),
         "section": _section_strings(section),
-        "jet_magnitudes": [float(abs(z)) for z in jets],
-        "space_dimension": d,
+        "jet_magnitudes": [float(abs(z)) for z in jet.jet[:, args.order]],
+        "space_dimension": jet.depth,
     }
 
 
@@ -394,7 +384,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--pole-divisor", dest="pole_divisor", default=None)
         p.add_argument("--section", default=None)
         p.add_argument("--order", type=int, default=0)
-        p.add_argument("--parallel", action="store_true")
         p.set_defaults(func=func)
         return p
 
@@ -414,10 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_command(argv):
-    """Run one subcommand; returns (exit_code, run_report_dict)."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+def _execute(args, argv):
     started = time.monotonic()
     try:
         code, inputs, results = args.func(args)
@@ -443,22 +429,19 @@ def run_command(argv):
     return code, report
 
 
+def run_command(argv):
+    """Run one subcommand; returns (exit_code, run_report_dict)."""
+    return _execute(_build_parser().parse_args(argv), argv)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        code, report = run_command(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse usage errors
         return 2 if exc.code not in (0, None) else 0
-    fmt = "json" if "--format" in argv and "json" in argv else None
-    # --format is a top-level option; recover it via a light reparse
-    if fmt is None:
-        fmt = "text"
-        for k, tok in enumerate(argv):
-            if tok == "--format" and k + 1 < len(argv):
-                fmt = argv[k + 1]
-            elif tok.startswith("--format="):
-                fmt = tok.split("=", 1)[1]
-    _emit(report, fmt)
+    code, report = _execute(args, argv)
+    _emit(report, args.format)
     return code
 
 

@@ -65,6 +65,10 @@ class DegenerateJet(ToolkitError):
     pass
 
 
+class InvalidArgument(ToolkitError, ValueError):
+    """An argument lies outside the range the operation accepts."""
+
+
 class ParseError(ToolkitError):
     def __init__(self, message, line=None, column=None):
         self.line = line

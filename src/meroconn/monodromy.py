@@ -12,7 +12,6 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -22,6 +21,7 @@ from .bundle import Divisor, Section, section_space_basis
 from .connection import Connection
 from .errors import (
     DegenerateJet,
+    InvalidArgument,
     SingularityTooClose,
     StepUnderflow,
 )
@@ -32,7 +32,7 @@ __all__ = [
     "Line", "Arc", "PathSpec", "MonodromyReport", "PeriodJet",
     "IrreducibilityVerdict", "default_base", "loop_paths", "transport",
     "monodromy_generators", "irreducibility_check", "period_jet",
-    "achieve_multiplicity", "ode_residual",
+    "achieve_with_jet", "achieve_multiplicity", "ode_residual",
 ]
 
 
@@ -285,7 +285,7 @@ class MonodromyReport:
 
 
 def monodromy_generators(conn: Connection, base=None, tol: float = 1e-12,
-                         trials: int = 20, parallel: bool = False,
+                         trials: int = 20,
                          with_verdict: bool = True) -> MonodromyReport:
     """Transport the identity frame around each singular point."""
     conn.ensure_valid()
@@ -301,11 +301,7 @@ def monodromy_generators(conn: Connection, base=None, tol: float = 1e-12,
         U, e2 = _transport(rhs_dual, loop, eye, tol, sings)
         return T, U, e1 + e2
 
-    if parallel and len(spec.loops) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(spec.loops))) as pool:
-            results = list(pool.map(run, spec.loops))
-    else:
-        results = [run(loop) for loop in spec.loops]
+    results = [run(loop) for loop in spec.loops]
     Ts = [r[0] for r in results]
     Us = [r[1] for r in results]
     err = sum(r[2] for r in results)
@@ -488,26 +484,40 @@ def ode_residual(conn: Connection, section: Section, ode: ScalarODE, t0,
     return float(np.max(np.abs(top))) / scale
 
 
-def achieve_multiplicity(conn: Connection, n: int, E: Divisor, t0,
-                         dual_index: int = 0, tol: float = 1e-12) -> Section:
+def achieve_with_jet(conn: Connection, n: int, E: Divisor, t0,
+                     dual_index: int = 0,
+                     tol: float = 1e-12) -> tuple[Section, PeriodJet]:
     """Constructive high-multiplicity section: a kernel combination of the
-    section-space basis whose period against one flat dual section vanishes
-    to order dim - 1 at t0 (for generic t0)."""
+    section-space basis whose period against flat dual section
+    ``dual_index`` vanishes to order dim - 1 at t0 (for generic t0).
+
+    Returns the section with its period jet to depth dim, paired with the
+    whole transported dual frame as in ``period_jet``.  Covariant
+    derivation is C-linear, so the jet is the kernel combination of the
+    basis jets; the iterates of the rationalised section, whose
+    coefficients have denominators up to 10^15, are never formed.
+    """
     conn.ensure_valid()
+    if not 0 <= dual_index < conn.rank:
+        raise InvalidArgument(
+            f"dual index {dual_index} is outside 0..{conn.rank - 1}")
     basis = section_space_basis(conn.splitting, E)
     d = len(basis)
     if d < 2:
-        raise ValueError("the section space must have dimension >= 2")
+        raise InvalidArgument(
+            f"the section space has dimension {d}; achieve needs >= 2")
     z0 = _as_complex(t0)
-    U, _ = _dual_frame_at(conn, z0, tol)
-    delta = U[:, dual_index]
-    cols = []
-    for b in basis:
-        its = iterated(conn, b, d - 2)
-        col = [complex(np.dot(delta, np.array(it.ceval(z0), dtype=complex)))
-               for it in its]
-        cols.append(col)
-    P = np.array(cols, dtype=complex).T       # (d-1) x d
+    U, err = _dual_frame_at(conn, z0, tol)
+    # J[i, :, j] pairs the i-th iterate of basis[j] with the dual frame,
+    # one dot product per dual section rather than U.T @ w: the rationalised
+    # kernel depends on its last bits, and a matrix product sums in another
+    # order.
+    J = np.empty((d, conn.rank, d), dtype=complex)
+    for j, b in enumerate(basis):
+        for i, it in enumerate(iterated(conn, b, d - 1)):
+            w = np.array(it.ceval(z0), dtype=complex)
+            J[i, :, j] = [np.dot(u, w) for u in U.T]
+    P = J[: d - 1, dual_index, :]             # (d-1) x d
     _, s, vh = np.linalg.svd(P)
     # full row rank means a one-dimensional kernel; anything less marks a
     # degenerate evaluation point
@@ -517,28 +527,30 @@ def achieve_multiplicity(conn: Connection, n: int, E: Divisor, t0,
     kernel = kernel / kernel[int(np.argmax(np.abs(kernel)))]
     scale = float(np.max(np.abs(P))) or 1.0
 
-    def build(limit):
-        coeffs = []
-        for z in kernel:
-            coeffs.append(GaussRat(Fraction(z.real).limit_denominator(limit),
-                                   Fraction(z.imag).limit_denominator(limit)))
-        out = Section([RatFun.const(0)] * conn.rank, conn.splitting)
-        for c, b in zip(coeffs, basis):
-            if c:
-                out = out + b.scale(RatFun.const(c))
-        return out
-
     best = None
     for limit in (10 ** 9, 10 ** 15):
-        candidate = build(limit)
-        if candidate.is_zero():
+        coeffs = [GaussRat(Fraction(z.real).limit_denominator(limit),
+                           Fraction(z.imag).limit_denominator(limit))
+                  for z in kernel]
+        if not any(coeffs):
             continue
-        jets = period_jet(conn, candidate, z0, d, tol).jet[:, dual_index]
-        low = float(np.max(np.abs(jets[: d - 1])))
+        jet = J @ np.array([c.to_complex() for c in coeffs])
+        low = float(np.max(np.abs(jet[: d - 1, dual_index])))
         if best is None or low < best[0]:
-            best = (low, candidate)
+            best = (low, coeffs, jet)
         if low <= tol * scale * 10:
             break
     if best is None:
         raise DegenerateJet("kernel reconstruction produced the zero section")
-    return best[1]
+    _, coeffs, jet = best
+    section = Section([RatFun.const(0)] * conn.rank, conn.splitting)
+    for c, b in zip(coeffs, basis):
+        if c:
+            section = section + b.scale(RatFun.const(c))
+    return section, PeriodJet(base=z0, depth=d, jet=jet, transport_error=err)
+
+
+def achieve_multiplicity(conn: Connection, n: int, E: Divisor, t0,
+                         dual_index: int = 0, tol: float = 1e-12) -> Section:
+    """The section of ``achieve_with_jet``, without its jet."""
+    return achieve_with_jet(conn, n, E, t0, dual_index, tol)[0]

@@ -101,6 +101,45 @@ class TestSubcommands:
         assert report["results"]["irreducible"] == "irreducible"
 
 
+class TestArguments:
+    @pytest.fixture()
+    def files(self, tmp_path):
+        for name, short in (("euler-half", "euler"), ("triangle-diag", "tri")):
+            (tmp_path / f"{short}.conn").write_text(fixture_file(name))
+        return tmp_path
+
+    def _domain_error(self, capsys, argv):
+        assert main(["--format", "json", *argv]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["error"]
+        return report["error"]
+
+    def test_achieve_dual_index_beyond_rank(self, files, capsys):
+        err = self._domain_error(capsys, ["achieve", str(files / "tri.conn"),
+                                          "--n", "1", "--order", "5"])
+        assert "dual index 5" in err
+
+    def test_achieve_negative_dual_index(self, files, capsys):
+        err = self._domain_error(capsys, ["achieve", str(files / "tri.conn"),
+                                          "--n", "1", "--order", "-1"])
+        assert "dual index -1" in err
+
+    def test_achieve_one_dimensional_section_space(self, files, capsys):
+        err = self._domain_error(capsys, ["achieve", str(files / "euler.conn"),
+                                          "--n", "0"])
+        assert "dimension 1" in err
+
+    def test_format_taken_from_parsed_arguments(self, files, capsys,
+                                                monkeypatch):
+        # a connection file named "json" must not switch the output to JSON
+        (files / "json").write_text(fixture_file("euler-half"))
+        monkeypatch.chdir(files)
+        assert main(["--format", "text", "validate", "json"]) == 0
+        out = capsys.readouterr().out
+        assert not out.lstrip().startswith("{")
+        assert "ok: True" in out
+
+
 class TestExitCodes:
     def test_usage_error(self):
         proc = run_cli(["definitely-not-a-command"])
@@ -130,16 +169,21 @@ class TestExitCodes:
 
 class TestDeterminism:
     def test_sample_h_byte_identical(self, tmp_path):
-        path = tmp_path / "euler.conn"
-        path.write_text(fixture_file("euler-half"))
-        args = ["--format", "json", "sample-h", str(path), "--n", "2",
-                "--samples", "30", "--seed", "7"]
-        first = run_cli(args)
-        second = run_cli(args)
-        assert first.returncode == second.returncode == 0
-        assert first.stdout == second.stdout
-        report = json.loads(first.stdout)
-        assert report["results"]["max_observed_generation"] == 3
-        # wall time stays out of the report (stderr only)
-        assert "wall" not in first.stdout
-        assert "wall time" in first.stderr
+        euler = tmp_path / "euler.conn"
+        euler.write_text(fixture_file("euler-half"))
+        tri = tmp_path / "tri.conn"
+        tri.write_text(fixture_file("triangle-diag"))
+        runs = {}
+        for args in (["sample-h", str(euler), "--n", "2", "--samples", "30",
+                      "--seed", "7"],
+                     ["achieve", str(tri), "--n", "1"]):
+            first = run_cli(["--format", "json", *args])
+            second = run_cli(["--format", "json", *args])
+            assert first.returncode == second.returncode == 0
+            assert first.stdout == second.stdout
+            # wall time stays out of the report (stderr only)
+            assert "wall" not in first.stdout
+            assert "wall time" in first.stderr
+            runs[args[0]] = json.loads(first.stdout)["results"]
+        assert runs["sample-h"]["max_observed_generation"] == 3
+        assert runs["achieve"]["space_dimension"] == 4

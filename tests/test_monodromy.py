@@ -17,6 +17,7 @@ from meroconn import (
     Section,
     SplittingType,
     achieve_multiplicity,
+    achieve_with_jet,
     cyclic_reduce,
     default_base,
     dual_connection,
@@ -120,14 +121,6 @@ class TestMonodromyGenerators:
             assert report.defect < 1e-8, name
             assert report.dual_defect < 1e-8, name
 
-    def test_parallel_matches_serial(self):
-        conn = fixture("triangle-diag")
-        serial = monodromy_generators(conn, tol=1e-12, with_verdict=False)
-        parallel = monodromy_generators(conn, tol=1e-12, parallel=True,
-                                        with_verdict=False)
-        for A, B in zip(serial.matrices, parallel.matrices):
-            assert np.linalg.norm(A - B, np.inf) < 1e-10
-
     def test_local_global_exponent_match(self):
         # simple poles, non-resonant residue: eigenvalues of T_c equal
         # exp(-2 pi i * exponents)
@@ -227,6 +220,23 @@ class TestAchieveMultiplicity:
         jet = period_jet(conn, omega, 3.0, depth=2, tol=1e-12)
         assert abs(jet.jet[0, 0]) < 1e-9
         assert abs(jet.jet[1, 0]) > 1e-3
+
+    @pytest.mark.parametrize("name, n", [("euler-half", 2),
+                                         ("triangle-diag", 1)])
+    def test_jet_matches_exact_iterates(self, name, n):
+        conn = fixture(name)
+        t0 = default_base(conn) + 0.25j
+        omega, jet = achieve_with_jet(conn, n, parse_divisor(f"inf^{n}"), t0,
+                                      tol=1e-12)
+        ref = period_jet(conn, omega, t0, jet.depth, tol=1e-12)
+        assert jet.jet.shape == ref.jet.shape == (jet.depth, conn.rank)
+        top = abs(ref.jet[-1, 0])
+        assert abs(jet.jet[-1, 0] - ref.jet[-1, 0]) < 1e-9 * top
+        for j in (jet, ref):
+            assert np.max(np.abs(j.jet[:-1, 0])) < 1e-7 * top
+        # the pairings with the other flat dual sections agree as well
+        scale = np.max(np.abs(ref.jet))
+        assert np.max(np.abs(jet.jet - ref.jet)) < 1e-9 * scale
 
     def test_degenerate_jet(self):
         conn = zero_conn(rank=2)
