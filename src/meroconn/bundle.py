@@ -240,24 +240,30 @@ def pole_profile(section: Section, allowed):
     return orders, inf_order, degree
 
 
-def section_space_basis(splitting: SplittingType, E: Divisor):
-    """Basis of the space of global sections of V twisted by O(E).
-
-    Summand i contributes max(0, a_i + deg E + 1) sections of the form
-    prefactor * t^j * e_i, where the prefactor carries the finite poles
-    allowed by E.
-    """
+def _monomial_basis(splitting: SplittingType, E: Divisor, centre: GaussRat):
+    """Summand i contributes max(0, a_i + deg E + 1) sections of the form
+    prefactor * (t - centre)^j * e_i, where the prefactor carries the
+    finite poles allowed by E."""
     prefactor = RatFun.const(1)
     for point, order in E.finite_entries():
         prefactor = prefactor / RatFun(Poly([-point, GaussRat(1)])) ** order
     deg_e = E.degree
-    t = RatFun.t()
+    shifted = RatFun(Poly([-centre, GaussRat(1)]))
     basis = []
     zero = RatFun.const(0)
     for i, a in enumerate(splitting.twists):
         d_i = max(0, a + deg_e + 1)
         for j in range(d_i):
             comps = [zero] * splitting.rank
-            comps[i] = prefactor * t ** j
+            comps[i] = prefactor * shifted ** j
             basis.append(Section(comps, splitting))
     return basis
+
+
+def section_space_basis(splitting: SplittingType, E: Divisor):
+    """Basis of the space of global sections of V twisted by O(E): the
+    sections prefactor * t^j * e_i, where summand i contributes
+    max(0, a_i + deg E + 1) of them and the prefactor carries the finite
+    poles allowed by E.
+    """
+    return _monomial_basis(splitting, E, GaussRat(0))

@@ -323,7 +323,7 @@ def _cmd_monodromy(args):
         "generators": [_mat(T) for T in report.matrices],
         "traces": [_cpx(np.trace(T)) for T in report.matrices],
         "product_defect": report.defect,
-        "dual_defect": report.dual_defect,
+        "det_defect": report.det_defect,
         "transport_error_estimate": report.transport_error,
         "irreducible": report.irreducible.kind,
         "irreducible_margin": report.irreducible.margin,

@@ -575,6 +575,31 @@ def residue(r: RatFun, c) -> GaussRat:
     return laurent_coefficients(r, c, 1)[0]
 
 
+def _row_echelon(M, ncols: int):
+    """Gaussian elimination in place over a field (entries GaussRat or
+    RatFun): afterwards row k of M has its pivot in column pivots[k], every
+    entry below a pivot is zero, and the rows past the pivots are zero in
+    the first ncols columns.  Returns (pivots, number of row swaps)."""
+    pivots = []
+    swaps = 0
+    for col in range(ncols):
+        top = len(pivots)
+        pivot = next((r for r in range(top, len(M))
+                      if not M[r][col].is_zero()), None)
+        if pivot is None:
+            continue
+        if pivot != top:
+            M[top], M[pivot] = M[pivot], M[top]
+            swaps += 1
+        inv = M[top][col].inverse()
+        for r in range(top + 1, len(M)):
+            if not M[r][col].is_zero():
+                f = M[r][col] * inv
+                M[r] = [a - f * bb for a, bb in zip(M[r], M[top])]
+        pivots.append(col)
+    return pivots, swaps
+
+
 def solve_linear(A, b):
     """Exact solution of A x = b over Q(i)(t) by Gaussian elimination."""
     n = len(A)
@@ -582,43 +607,30 @@ def solve_linear(A, b):
         raise ValueError("matrix must be square")
     if len(b) != n:
         raise ValueError("dimension mismatch")
-    M = [[_coerce_rf(e) for e in row] for row in A]
-    rhs = [_coerce_rf(e) for e in b]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not M[r][col].is_zero()), None)
-        if pivot is None:
-            raise SingularMatrix("matrix is singular over the function field")
-        M[col], M[pivot] = M[pivot], M[col]
-        rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
-        inv = M[col][col].inverse()
-        M[col] = [e * inv for e in M[col]]
-        rhs[col] = rhs[col] * inv
-        for r in range(n):
-            if r != col and not M[r][col].is_zero():
-                f = M[r][col]
-                M[r] = [a - f * bb for a, bb in zip(M[r], M[col])]
-                rhs[r] = rhs[r] - f * rhs[col]
-    return rhs
+    M = [[_coerce_rf(e) for e in row] + [_coerce_rf(v)]
+         for row, v in zip(A, b)]
+    pivots, _ = _row_echelon(M, n)
+    if len(pivots) < n:
+        raise SingularMatrix("matrix is singular over the function field")
+    x = [None] * n
+    for k in reversed(range(n)):
+        acc = M[k][n]
+        for j in range(k + 1, n):
+            acc = acc - M[k][j] * x[j]
+        x[k] = acc / M[k][k]
+    return x
 
 
 def det_ratfun(A) -> RatFun:
     """Exact determinant of a square RatFun matrix (elimination based)."""
     n = len(A)
     M = [[_coerce_rf(e) for e in row] for row in A]
-    det = RatFun.const(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not M[r][col].is_zero()), None)
-        if pivot is None:
-            return RatFun(Poly())
-        if pivot != col:
-            M[col], M[pivot] = M[pivot], M[col]
-            det = -det
-        det = det * M[col][col]
-        inv = M[col][col].inverse()
-        for r in range(col + 1, n):
-            if not M[r][col].is_zero():
-                f = M[r][col] * inv
-                M[r] = [a - f * bb for a, bb in zip(M[r], M[col])]
+    pivots, swaps = _row_echelon(M, n)
+    if len(pivots) < n:
+        return RatFun(Poly())
+    det = RatFun.const(-1 if swaps % 2 else 1)
+    for k in range(n):
+        det = det * M[k][k]
     return det
 
 
@@ -632,33 +644,31 @@ def linear_root(p: Poly) -> GaussRat:
 def rational_roots(p: Poly):
     """Gaussian-rational roots of p with multiplicities.
 
-    Candidates come from numeric root finding rationalized through
-    limit_denominator, then each is certified by exact evaluation, so every
-    returned root is genuine.  Rational roots whose coordinates have
-    denominators beyond the rationalization window are not representable at
-    desk scale and are treated as irrational.
+    Candidates come from numeric root finding on each squarefree factor,
+    rationalized through limit_denominator, then each is certified by exact
+    evaluation, so every returned root is genuine.  Rational roots whose
+    coordinates have denominators beyond the rationalization window are not
+    representable at desk scale and are treated as irrational.
     """
     if p.is_zero():
         raise ZeroPolynomial("zero polynomial has every point as a root")
     out = []
-    if p.deg < 1:
-        return out
-    coeffs = [p[k].to_complex() for k in range(p.deg, -1, -1)]
-    seen = set()
-    # repeated roots are perturbed by roughly eps^(1/multiplicity), so try
-    # coarse rationalization windows before fine ones
     windows = (10, 10 ** 2, 10 ** 4, 10 ** 6, 10 ** 9)
-    for z in np.roots(coeffs):
-        for window in windows:
-            cand = GaussRat(Fraction(z.real).limit_denominator(window),
-                            Fraction(z.imag).limit_denominator(window))
-            if cand in seen:
-                continue
-            seen.add(cand)
-            k = p.root_multiplicity(cand)
-            if k:
-                out.append((cand, k))
-                break
+    # the roots of a squarefree factor are simple, so np.roots finds them to
+    # near full precision; each root of factor has multiplicity mult in p
+    for factor, mult in squarefree_decompose(p):
+        coeffs = [factor[k].to_complex() for k in range(factor.deg, -1, -1)]
+        seen = set()
+        for z in np.roots(coeffs):
+            for window in windows:
+                cand = GaussRat(Fraction(z.real).limit_denominator(window),
+                                Fraction(z.imag).limit_denominator(window))
+                if cand in seen:
+                    continue
+                seen.add(cand)
+                if factor.eval(cand).is_zero():
+                    out.append((cand, mult))
+                    break
     return out
 
 

@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle import Divisor, Section, chern, section_space_basis
+from .bundle import (
+    Divisor,
+    Section,
+    _monomial_basis,
+    chern,
+    section_space_basis,
+)
 from .connection import Connection, covariant_derivative
 from .errors import (
     DegenerateSection,
@@ -28,6 +34,7 @@ from .exactalg import (
     Poly,
     RatFun,
     _coerce,
+    _row_echelon,
     det_ratfun,
     linear_root,
     max_zero_multiplicity,
@@ -109,29 +116,6 @@ def generation_bound(conn: Connection, section: Section) -> int:
     return mu + conn.rank
 
 
-def _exact_rank(vectors, n: int) -> int:
-    """Rank over Q(i) of a list of length-n coordinate vectors."""
-    rows = [list(v) for v in vectors]
-    rank = 0
-    col = 0
-    while col < n and rank < len(rows):
-        pivot = next((r for r in range(rank, len(rows))
-                      if not rows[r][col].is_zero()), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [e * inv for e in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and not rows[r][col].is_zero():
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
 def generation_index_at(conn: Connection, section: Section, b) -> int:
     """Smallest h such that the first h iterates span the fiber at b."""
     b = _coerce(b)
@@ -143,7 +127,8 @@ def generation_index_at(conn: Connection, section: Section, b) -> int:
     current = section
     for h in range(1, cap + 1):
         vectors.append(current.eval(b))
-        if _exact_rank(vectors, n) == n:
+        pivots, _ = _row_echelon(list(vectors), n)
+        if len(pivots) == n:
             return h
         current = covariant_derivative(conn, current)
     raise DegenerateSection(
@@ -160,21 +145,7 @@ def spanning_sections(conn: Connection, E: Divisor):
     k = 0
     while GaussRat(k) in sing:
         k += 1
-    p = GaussRat(k)
-    shifted = RatFun(Poly([-p, GaussRat(1)]))
-    prefactor = RatFun.const(1)
-    for point, order in E.finite_entries():
-        prefactor = prefactor / RatFun(Poly([-point, GaussRat(1)])) ** order
-    deg_e = E.degree
-    zero = RatFun.const(0)
-    out = []
-    for i, a in enumerate(conn.splitting.twists):
-        d_i = max(0, a + deg_e + 1)
-        for j in range(d_i):
-            comps = [zero] * conn.rank
-            comps[i] = prefactor * shifted ** j
-            out.append(Section(comps, conn.splitting))
-    return out
+    return _monomial_basis(conn.splitting, E, GaussRat(k))
 
 
 @dataclass

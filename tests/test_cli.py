@@ -129,6 +129,14 @@ class TestArguments:
                                           "--n", "0"])
         assert "dimension 1" in err
 
+    @pytest.mark.parametrize("argv", [["monodromy", "euler.conn"],
+                                      ["ode", "euler.conn"],
+                                      ["achieve", "tri.conn", "--n", "1"]])
+    def test_negative_tol(self, files, capsys, argv):
+        err = self._domain_error(capsys, [argv[0], str(files / argv[1]),
+                                          *argv[2:], "--tol=-1"])
+        assert "tol must be positive" in err
+
     def test_format_taken_from_parsed_arguments(self, files, capsys,
                                                 monkeypatch):
         # a connection file named "json" must not switch the output to JSON

@@ -11,16 +11,19 @@ from meroconn import (
     GaussRat,
     Poly,
     RatFun,
+    det_ratfun,
     infinity_degree,
     laurent_coefficients,
     max_zero_multiplicity,
     parse_gaussrat,
     parse_ratfun,
+    rational_roots,
     residue,
     solve_linear,
     squarefree_decompose,
     valuation,
 )
+from meroconn.exactalg import _row_echelon
 from meroconn.errors import (
     MixedFactor,
     ParseError,
@@ -181,6 +184,17 @@ class TestMaxZeroMultiplicity:
             max_zero_multiplicity(r, {GaussRat(0)})
 
 
+class TestRationalRoots:
+    def test_repeated_rational_root(self):
+        # np.roots of the expanded quartic scatters the fourfold root by
+        # about eps^(1/4), beyond every rationalization window
+        root = GaussRat(Fraction(101, 997))
+        p = Poly([-root, GaussRat(1)]) ** 4
+        assert rational_roots(p) == [(root, 4)]
+        got = rational_roots(p * (T - Poly.const(2)) * (T ** 2 - Poly.const(2)))
+        assert sorted(got, key=lambda rk: rk[1]) == [(GaussRat(2), 1), (root, 4)]
+
+
 # ---------------------------------------------------------------------------
 # property tests
 # ---------------------------------------------------------------------------
@@ -227,22 +241,77 @@ def test_infinity_degree_additive(a, b, c, d):
     assert infinity_degree(r * s) == infinity_degree(r) + infinity_degree(s)
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.lists(small_int, min_size=8, max_size=8),
-       st.lists(small_int, min_size=2, max_size=2))
-def test_solve_multiply_back(mat_entries, rhs):
+def _linear_matrix(n, entries, singular):
+    """n x n matrix with entries c + d t; when `singular`, the last row is
+    t times the first row plus row 1 % (n - 1)."""
     t = RatFun.t()
-    A = [[RatFun.const(mat_entries[2 * i + j]) + t * mat_entries[4 + 2 * i + j]
-          for j in range(2)] for i in range(2)]
-    b = [RatFun.const(v) for v in rhs]
-    from meroconn import det_ratfun
+    A = [[RatFun.const(entries[n * i + j]) + t * entries[9 + n * i + j]
+          for j in range(n)] for i in range(n)]
+    if singular:
+        A[-1] = [t * a + b for a, b in zip(A[0], A[1 % (n - 1)])]
+    return A
 
+
+def _sympy_ratfun(r, t):
+    import sympy
+
+    def poly(p):
+        return sum((sympy.Rational(c.re_num, c.re_den)
+                    + sympy.I * sympy.Rational(c.im_num, c.im_den)) * t ** k
+                   for k, c in enumerate(p.coeffs))
+
+    return poly(r.num) / poly(r.den)
+
+
+matrix_case = (st.integers(min_value=2, max_value=3),
+               st.lists(small_int, min_size=18, max_size=18),
+               st.booleans())
+
+
+@settings(max_examples=25, deadline=None)
+@given(*matrix_case, st.lists(small_int, min_size=3, max_size=3))
+def test_solve_multiply_back(n, mat_entries, singular, rhs):
+    A = _linear_matrix(n, mat_entries, singular)
+    b = [RatFun.const(v) for v in rhs[:n]]
     if det_ratfun(A).is_zero():
+        with pytest.raises(SingularMatrix):
+            solve_linear(A, b)
         return
     x = solve_linear(A, b)
-    for i in range(2):
-        back = sum((A[i][j] * x[j] for j in range(2)), RatFun.const(0))
+    for i in range(n):
+        back = sum((A[i][j] * x[j] for j in range(n)), RatFun.const(0))
         assert back == b[i]
+
+
+@settings(max_examples=25, deadline=None)
+@given(*matrix_case)
+def test_det_against_sympy(n, mat_entries, singular):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    A = _linear_matrix(n, mat_entries, singular)
+    want = sympy.Matrix([[_sympy_ratfun(e, t) for e in row] for row in A]).det()
+    assert sympy.cancel(_sympy_ratfun(det_ratfun(A), t) - want) == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=4),
+       st.lists(st.tuples(small_int, small_int), min_size=32, max_size=32))
+def test_rank_against_sympy(rows, cols, inner, entries):
+    # a rows x inner times inner x cols product has rank <= inner
+    sympy = pytest.importorskip("sympy")
+    left = [[entries[inner * i + k] for k in range(inner)] for i in range(rows)]
+    right = [[entries[16 + cols * k + j] for j in range(cols)]
+             for k in range(inner)]
+    prod = [[sum((complex(*left[i][k]) * complex(*right[k][j])
+                  for k in range(inner)), 0j) for j in range(cols)]
+            for i in range(rows)]
+    M = [[GaussRat(int(z.real), int(z.imag)) for z in row] for row in prod]
+    want = sympy.Matrix([[int(z.real) + sympy.I * int(z.imag) for z in row]
+                         for row in prod]).rank()
+    pivots, _ = _row_echelon(M, cols)
+    assert len(pivots) == want
 
 
 # ---------------------------------------------------------------------------

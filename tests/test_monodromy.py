@@ -119,7 +119,7 @@ class TestMonodromyGenerators:
             report = monodromy_generators(fixture(name), tol=1e-12,
                                           with_verdict=False)
             assert report.defect < 1e-8, name
-            assert report.dual_defect < 1e-8, name
+            assert report.det_defect < 1e-8, name
 
     def test_local_global_exponent_match(self):
         # simple poles, non-resonant residue: eigenvalues of T_c equal
