@@ -113,9 +113,6 @@ class Divisor:
                 return o
         return 0
 
-    def support(self):
-        return [p for p, _ in self.entries]
-
     def finite_support(self):
         return [p for p, _ in self.entries if p is not INF]
 

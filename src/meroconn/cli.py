@@ -19,22 +19,15 @@ import time
 import numpy as np
 
 from . import fixtures as fixtures_mod
-from .bundle import Divisor, Section, SplittingType, parse_divisor
+from .bundle import INF, Divisor, Section, SplittingType, parse_divisor
 from .connection import Connection, local_data
 from .errors import ParseError, ToolkitError, ValidationFailed
 from .exactalg import GaussRat, parse_gaussrat, parse_ratfun
-from .monodromy import achieve_with_jet, monodromy_generators, ode_residual
-from .wronskian import (
-    apparent_singularities,
-    cyclic_reduce,
-    estimate_H,
-    fuchs_check,
-    generation_bound,
-    h_bound,
-    iterated,
-    residue_identity_check,
-    wronskian_determinant,
-)
+from .monodromy import (_check_tol, achieve_with_jet, default_base,
+                        monodromy_generators, ode_residual)
+from .wronskian import (_apparent_report, _generation_cap, _reduce,
+                        _residue_records, cyclic_reduce, estimate_H,
+                        fuchs_check, h_bound, iterated, wronskian_determinant)
 
 __all__ = ["parse_connection_file", "run_command", "main"]
 
@@ -231,13 +224,14 @@ def _cmd_wronskian(args):
     a = wronskian_determinant(conn, section)
     results = {"wronskian": str(a), "zero": a.is_zero()}
     if not a.is_zero():
-        results["generation_bound"] = generation_bound(conn, section)
+        results["generation_bound"] = _generation_cap(conn, a)
     return 0, inputs, results
 
 
 def _cmd_ode(args):
     conn, inputs = _load(args)
     section = _section_from_arg(conn, args.section)
+    _check_tol(args.tol)
     ode = cyclic_reduce(conn, section)
     verdicts = fuchs_check(ode, conn.singular_points)
     return 0, inputs, {
@@ -255,16 +249,15 @@ def _cmd_ode(args):
 
 
 def _default_probe(conn) -> complex:
-    from .monodromy import default_base
-
     return default_base(conn) + 0.25j
 
 
 def _cmd_classify(args):
     conn, inputs = _load(args)
     section = _section_from_arg(conn, args.section)
-    app = apparent_singularities(conn, section)
-    res = residue_identity_check(conn, section)
+    a, ode = _reduce(conn, section)
+    app = _apparent_report(conn, a, ode)
+    res = _residue_records(conn, a, ode)
     return 0, inputs, {
         "apparent": [
             {
@@ -293,8 +286,6 @@ def _cmd_bound(args):
 def _divisor_from_args(conn, args) -> Divisor:
     if args.pole_divisor:
         return parse_divisor(args.pole_divisor)
-    from .bundle import INF
-
     return Divisor([(INF, args.n)]) if args.n > 0 else Divisor([])
 
 
@@ -363,6 +354,13 @@ def _cmd_fixtures(args):
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+# (type, default) of every flag; each subcommand declares the ones it reads
+_FLAGS = {"--n": (int, 0), "--samples": (int, 50), "--seed": (int, 0),
+          "--tol": (float, 1e-12), "--base": (str, None),
+          "--pole-divisor": (str, None), "--section": (str, None),
+          "--order": (int, 0)}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="meroconn",
@@ -372,31 +370,26 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=["json", "text"], default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, needs_file=True):
+    def add(name, func, *flags):
         p = sub.add_parser(name)
-        if needs_file:
-            p.add_argument("file")
-        p.add_argument("--n", type=int, default=0)
-        p.add_argument("--samples", type=int, default=50)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-12)
-        p.add_argument("--base", default=None)
-        p.add_argument("--pole-divisor", dest="pole_divisor", default=None)
-        p.add_argument("--section", default=None)
-        p.add_argument("--order", type=int, default=0)
+        p.add_argument("file")
+        for flag in flags:
+            p.add_argument(flag, type=_FLAGS[flag][0], default=_FLAGS[flag][1])
         p.set_defaults(func=func)
-        return p
 
     add("validate", _cmd_validate)
-    add("derive", _cmd_derive)
-    add("wronskian", _cmd_wronskian)
-    add("ode", _cmd_ode)
-    add("classify", _cmd_classify)
-    add("bound", _cmd_bound)
-    add("sample-h", _cmd_sample_h)
-    add("monodromy", _cmd_monodromy)
-    add("achieve", _cmd_achieve)
-    fx = add("fixtures", _cmd_fixtures, needs_file=False)
+    add("derive", _cmd_derive, "--section", "--order")
+    add("wronskian", _cmd_wronskian, "--section")
+    add("ode", _cmd_ode, "--section", "--tol")
+    add("classify", _cmd_classify, "--section")
+    add("bound", _cmd_bound, "--n")
+    add("sample-h", _cmd_sample_h, "--n", "--samples", "--seed",
+        "--pole-divisor")
+    add("monodromy", _cmd_monodromy, "--tol", "--base")
+    add("achieve", _cmd_achieve, "--n", "--tol", "--base", "--pole-divisor",
+        "--order")
+    fx = sub.add_parser("fixtures")
+    fx.set_defaults(func=_cmd_fixtures)
     fx.add_argument("action", choices=["list", "emit"])
     fx.add_argument("name", nargs="?")
     fx.add_argument("path", nargs="?")

@@ -119,9 +119,6 @@ class GaussRat:
     def __rtruediv__(self, other) -> "GaussRat":
         return _coerce(other) * self.inverse()
 
-    def conjugate(self) -> "GaussRat":
-        return GaussRat(self.re, -self.im)
-
     def to_complex(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)
 
@@ -395,10 +392,6 @@ class RatFun:
         return cls(Poly.const(c))
 
     @classmethod
-    def from_poly(cls, p: Poly) -> "RatFun":
-        return cls(p)
-
-    @classmethod
     def t(cls) -> "RatFun":
         return cls(Poly.x())
 
@@ -600,6 +593,26 @@ def _row_echelon(M, ncols: int):
     return pivots, swaps
 
 
+def _pivot_product(M, n: int, swaps: int) -> RatFun:
+    """Determinant of the first n columns of M after _row_echelon found n
+    pivots with `swaps` row swaps."""
+    det = RatFun.const(-1 if swaps % 2 else 1)
+    for k in range(n):
+        det = det * M[k][k]
+    return det
+
+
+def _back_substitute(M, n: int) -> list:
+    """x with M[:, :n] x = M[:, n] after _row_echelon found n pivots."""
+    x = [None] * n
+    for k in reversed(range(n)):
+        acc = M[k][n]
+        for j in range(k + 1, n):
+            acc = acc - M[k][j] * x[j]
+        x[k] = acc / M[k][k]
+    return x
+
+
 def solve_linear(A, b):
     """Exact solution of A x = b over Q(i)(t) by Gaussian elimination."""
     n = len(A)
@@ -612,13 +625,7 @@ def solve_linear(A, b):
     pivots, _ = _row_echelon(M, n)
     if len(pivots) < n:
         raise SingularMatrix("matrix is singular over the function field")
-    x = [None] * n
-    for k in reversed(range(n)):
-        acc = M[k][n]
-        for j in range(k + 1, n):
-            acc = acc - M[k][j] * x[j]
-        x[k] = acc / M[k][k]
-    return x
+    return _back_substitute(M, n)
 
 
 def det_ratfun(A) -> RatFun:
@@ -628,10 +635,7 @@ def det_ratfun(A) -> RatFun:
     pivots, swaps = _row_echelon(M, n)
     if len(pivots) < n:
         return RatFun(Poly())
-    det = RatFun.const(-1 if swaps % 2 else 1)
-    for k in range(n):
-        det = det * M[k][k]
-    return det
+    return _pivot_product(M, n, swaps)
 
 
 def linear_root(p: Poly) -> GaussRat:

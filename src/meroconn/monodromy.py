@@ -78,7 +78,6 @@ class PathSpec:
     base: complex
     points: list                 # ordered singular points (complex)
     loops: list                  # loops[k] = list of pieces for points[k]
-    radii: list
 
 
 def default_base(conn: Connection) -> complex:
@@ -97,7 +96,7 @@ def loop_paths(conn: Connection, base: complex | None = None) -> PathSpec:
         raise SingularityTooClose("base point coincides with a singular point")
     order = sorted(range(len(sings)),
                    key=lambda k: (cmath.phase(sings[k] - base), abs(sings[k])))
-    points, loops, radii = [], [], []
+    points, loops = [], []
     for k in order:
         c = sings[k]
         others = [x for x in sings if x != c] + [base]
@@ -112,8 +111,7 @@ def loop_paths(conn: Connection, base: complex | None = None) -> PathSpec:
         ]
         points.append(c)
         loops.append(pieces)
-        radii.append(rho)
-    return PathSpec(base=base, points=points, loops=loops, radii=radii)
+    return PathSpec(base=base, points=points, loops=loops)
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +225,15 @@ def _integrate_piece(rhs: _MatrixEval, piece, y: np.ndarray, tol: float,
     return y, err_acc
 
 
-def _transport(rhs: _MatrixEval, pieces, y0: np.ndarray, tol: float,
-               sings: list):
+def _check_tol(tol: float):
+    """Refuse a non-positive or NaN integration tolerance."""
     if not tol > 0:
         raise InvalidArgument(f"tol must be positive, got {tol}")
+
+
+def _transport(rhs: _MatrixEval, pieces, y0: np.ndarray, tol: float,
+               sings: list):
+    _check_tol(tol)
     y = np.array(y0, dtype=complex)
     err = 0.0
     for piece in pieces:

@@ -26,21 +26,21 @@ from .errors import (
     DegenerateSection,
     NotCyclic,
     SingularEvaluationPoint,
-    SingularMatrix,
     ZeroSection,
 )
 from .exactalg import (
     GaussRat,
     Poly,
     RatFun,
+    _back_substitute,
     _coerce,
+    _pivot_product,
     _row_echelon,
     det_ratfun,
     linear_root,
     max_zero_multiplicity,
     rational_roots,
     residue,
-    solve_linear,
     squarefree_decompose,
     valuation,
 )
@@ -82,16 +82,19 @@ def iterated(conn: Connection, section: Section, k: int):
     return out
 
 
-def wronskian_determinant(conn: Connection, section: Section) -> RatFun:
-    """Determinant of the matrix whose columns are the first rank iterates."""
+def _wronskian_iterates(conn: Connection, section: Section):
+    """The first rank iterates of a section and their determinant."""
     if section.is_zero():
         raise ZeroSection("Wronskian of the zero section")
     n = conn.rank
-    cols = iterated(conn, section, n - 1)
-    if n == 1:
-        return cols[0].comps[0]
-    rows = [[cols[j].comps[i] for j in range(n)] for i in range(n)]
-    return det_ratfun(rows)
+    its = iterated(conn, section, n - 1)
+    return its, det_ratfun([[its[j].comps[i] for j in range(n)]
+                            for i in range(n)])
+
+
+def wronskian_determinant(conn: Connection, section: Section) -> RatFun:
+    """Determinant of the matrix whose columns are the first rank iterates."""
+    return _wronskian_iterates(conn, section)[1]
 
 
 def h_bound(conn: Connection, n: int) -> int:
@@ -105,15 +108,35 @@ def h_bound(conn: Connection, n: int) -> int:
             - alpha * (alpha - 1) // 2 + chern(conn.splitting))
 
 
-def generation_bound(conn: Connection, section: Section) -> int:
-    """mu + alpha, where mu is the largest zero multiplicity of the
-    Wronskian away from the singular set; certifies that the first mu+alpha
-    iterates span every non-singular fiber."""
-    a = wronskian_determinant(conn, section)
+def _generation_cap(conn: Connection, a: RatFun) -> int:
+    """generation_bound from the section's Wronskian a."""
     if a.is_zero():
         raise DegenerateSection("Wronskian vanishes identically")
     mu, _ = max_zero_multiplicity(a, conn.singular_points)
     return mu + conn.rank
+
+
+def generation_bound(conn: Connection, section: Section) -> int:
+    """mu + alpha, where mu is the largest zero multiplicity of the
+    Wronskian away from the singular set; certifies that the first mu+alpha
+    iterates span every non-singular fiber."""
+    return _generation_cap(conn, wronskian_determinant(conn, section))
+
+
+def _index_at(conn: Connection, its: list, b: GaussRat, cap: int) -> int:
+    """Smallest h <= cap such that the iterates its[:h] span the fiber at
+    b; extends its in place as far as needed."""
+    vectors = []
+    for h in range(1, cap + 1):
+        if h > len(its):
+            its.append(covariant_derivative(conn, its[-1]))
+        vectors.append(its[h - 1].eval(b))
+        pivots, _ = _row_echelon(list(vectors), conn.rank)
+        if len(pivots) == conn.rank:
+            return h
+    raise DegenerateSection(
+        f"iterates do not span the fiber at t = {b} within the certified bound"
+    )
 
 
 def generation_index_at(conn: Connection, section: Section, b) -> int:
@@ -121,19 +144,8 @@ def generation_index_at(conn: Connection, section: Section, b) -> int:
     b = _coerce(b)
     if b in set(conn.singular_points):
         raise SingularEvaluationPoint(f"t = {b} is a singular point")
-    cap = generation_bound(conn, section)
-    n = conn.rank
-    vectors = []
-    current = section
-    for h in range(1, cap + 1):
-        vectors.append(current.eval(b))
-        pivots, _ = _row_echelon(list(vectors), n)
-        if len(pivots) == n:
-            return h
-        current = covariant_derivative(conn, current)
-    raise DegenerateSection(
-        f"iterates do not span the fiber at t = {b} within the certified bound"
-    )
+    its, a = _wronskian_iterates(conn, section)
+    return _index_at(conn, its, b, _generation_cap(conn, a))
 
 
 def spanning_sections(conn: Connection, E: Divisor):
@@ -156,14 +168,6 @@ class HBoundReport:
     max_observed_generation: int
     witness: str
     violated: bool
-
-
-def _rational_zeros(r: RatFun, excluded):
-    """Certified Gaussian-rational zeros of r with multiplicities, skipping
-    excluded points."""
-    excluded = set(excluded)
-    return [(root, mult) for root, mult in rational_roots(r.num)
-            if root not in excluded]
 
 
 def estimate_H(conn: Connection, n: int, E: Divisor, samples: int,
@@ -203,14 +207,17 @@ def estimate_H(conn: Connection, n: int, E: Divisor, samples: int,
                     omega = omega + b.scale(RatFun.const(c))
         if omega.is_zero():
             continue
-        a = wronskian_determinant(conn, omega)
+        its, a = _wronskian_iterates(conn, omega)
         if a.is_zero():
             # reducibility witness; the sampled estimate ignores it
             continue
-        observed = alpha
-        for root, _ in _rational_zeros(a, sing):
-            observed = max(observed,
-                           generation_index_at(conn, omega, root))
+        # the iterates and the cap serve every rational zero off the
+        # singular set; the cap is taken only when there is such a zero,
+        # since max_zero_multiplicity may refuse the Wronskian (MixedFactor)
+        roots = [b for b, _ in rational_roots(a.num) if b not in sing]
+        cap = _generation_cap(conn, a) if roots else 0
+        observed = max((_index_at(conn, its, b, cap) for b in roots),
+                       default=alpha)
         if observed > max_observed:
             max_observed = observed
             witness = str(omega)
@@ -219,20 +226,27 @@ def estimate_H(conn: Connection, n: int, E: Divisor, samples: int,
                         witness=witness, violated=max_observed > bound)
 
 
-def cyclic_reduce(conn: Connection, section: Section) -> ScalarODE:
-    """Scalar equation satisfied by every pairing of a flat dual section
-    with the given section: solve [grad^0 w ... grad^(a-1) w] c = grad^a w."""
+def _reduce(conn: Connection, section: Section):
+    """(Wronskian, scalar equation) from one elimination of
+    [grad^0 w ... grad^(a-1) w | grad^a w]: the pivot count tests
+    cyclicity, the signed pivot product is the Wronskian (det_ratfun finds
+    the same pivots), and back-substitution gives the coefficients."""
+    if section.is_zero():
+        raise ZeroSection("Wronskian of the zero section")
     alpha = conn.rank
     its = iterated(conn, section, alpha)
-    if wronskian_determinant(conn, section).is_zero():
+    M = [[its[j].comps[i] for j in range(alpha + 1)] for i in range(alpha)]
+    pivots, swaps = _row_echelon(M, alpha)
+    if len(pivots) < alpha:
         raise NotCyclic("the section is not cyclic (Wronskian vanishes)")
-    mat = [[its[j].comps[i] for j in range(alpha)] for i in range(alpha)]
-    rhs = [its[alpha].comps[i] for i in range(alpha)]
-    try:
-        coeffs = solve_linear(mat, rhs)
-    except SingularMatrix as exc:  # pragma: no cover - guarded above
-        raise NotCyclic(str(exc)) from exc
-    return ScalarODE(alpha, coeffs)
+    return (_pivot_product(M, alpha, swaps),
+            ScalarODE(alpha, _back_substitute(M, alpha)))
+
+
+def cyclic_reduce(conn: Connection, section: Section) -> ScalarODE:
+    """Scalar equation satisfied by every pairing of a flat dual section
+    with the given section."""
+    return _reduce(conn, section)[1]
 
 
 def fuchs_check(ode: ScalarODE, points):
@@ -267,34 +281,21 @@ class ResidueCheckRecord:
 def residue_identity_check(conn: Connection, section: Section):
     """Exact identity res(c_{alpha-1}, b) = val(A, b) away from the divisor,
     with the tr M residue correction at divisor points."""
-    ode = cyclic_reduce(conn, section)
+    return _residue_records(conn, *_reduce(conn, section))
+
+
+def _residue_records(conn: Connection, a: RatFun, ode: ScalarODE):
     p1 = ode.coeffs[-1]
-    a = wronskian_determinant(conn, section)
     tr = conn.trace()
     sing = list(conn.singular_points)
-    points = []
-    seen = set()
-    for poly in (a.num, a.den):
-        if poly.deg <= 0:
-            continue
-        for root, _ in rational_roots(poly):
-            if root not in seen:
-                seen.add(root)
-                points.append(root)
-    for c in sing:
-        if c not in seen:
-            seen.add(c)
-            points.append(c)
+    # rational zeros and poles of the Wronskian, then the divisor, each once
+    points = dict.fromkeys([root for poly in (a.num, a.den) if poly.deg > 0
+                            for root, _ in rational_roots(poly)] + sing)
     records = []
     for b in points:
-        val = valuation(a, b)
+        in_div = b in sing
         lhs = residue(p1, b)
-        if b in set(sing):
-            rhs = GaussRat(val) + residue(tr, b)
-            in_div = True
-        else:
-            rhs = GaussRat(val)
-            in_div = False
+        rhs = GaussRat(valuation(a, b)) + (residue(tr, b) if in_div else 0)
         records.append(ResidueCheckRecord(point=b, lhs=lhs, rhs=rhs,
                                           in_divisor=in_div, equal=lhs == rhs))
     return records
@@ -313,17 +314,17 @@ class ApparentRecord:
 class ApparentReport:
     records: list
 
-    def exact_records(self):
-        return [r for r in self.records if r.exact]
-
 
 def apparent_singularities(conn: Connection, section: Section) -> ApparentReport:
     """Classify the zeros of the Wronskian away from the divisor: exact
     records at Gaussian-rational zeros, clustered double-precision records
     (flagged) elsewhere."""
-    ode = cyclic_reduce(conn, section)
+    return _apparent_report(conn, *_reduce(conn, section))
+
+
+def _apparent_report(conn: Connection, a: RatFun,
+                     ode: ScalarODE) -> ApparentReport:
     p1 = ode.coeffs[-1]
-    a = wronskian_determinant(conn, section)
     alpha = conn.rank
     sing = set(conn.singular_points)
     records = []
@@ -347,8 +348,7 @@ def apparent_singularities(conn: Connection, section: Section) -> ApparentReport
                 if all(abs(z - w) > 1e-8 for w in kept):
                     kept.append(complex(z))
             for z in kept:
-                num, den = p1.num, p1.den
-                resz = num.ceval(z) / den.derivative().ceval(z)
+                resz = p1.num.ceval(z) / p1.den.derivative().ceval(z)
                 records.append(ApparentRecord(location=z, val_wronskian=mult,
                                               res_log_coeff=resz,
                                               phi_bound=resz.real + alpha - 1,

@@ -137,6 +137,37 @@ class TestArguments:
                                           *argv[2:], "--tol=-1"])
         assert "tol must be positive" in err
 
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+    def test_ode_tol_checked_before_reduction(self, files, capsys,
+                                              monkeypatch, tol):
+        def refuse(*args):
+            raise AssertionError("cyclic_reduce ran before the tol check")
+
+        monkeypatch.setattr("meroconn.cli.cyclic_reduce", refuse)
+        err = self._domain_error(capsys, ["ode", str(files / "euler.conn"),
+                                          f"--tol={tol}"])
+        assert "tol must be positive" in err
+
+    @pytest.mark.parametrize("argv", [["validate", "--tol", "1e-3"],
+                                      ["wronskian", "--seed", "1"],
+                                      ["bound", "--section=1"],
+                                      ["monodromy", "--n", "2"]])
+    def test_unread_flag_is_usage_error(self, files, argv):
+        assert main([argv[0], str(files / "euler.conn"), *argv[1:]]) == 2
+
+    def test_report_fields_of_absent_flags_are_null(self, files):
+        path = str(files / "euler.conn")
+        _, report = run_command(["wronskian", path])
+        assert report["seed"] is None
+        assert report["tolerances"] == {"tol": None}
+        _, report = run_command(["ode", path, "--tol", "1e-10"])
+        assert report["seed"] is None
+        assert report["tolerances"] == {"tol": 1e-10}
+        _, report = run_command(["sample-h", path, "--samples", "3",
+                                 "--seed", "4"])
+        assert report["seed"] == 4
+        assert report["tolerances"] == {"tol": None}
+
     def test_format_taken_from_parsed_arguments(self, files, capsys,
                                                 monkeypatch):
         # a connection file named "json" must not switch the output to JSON

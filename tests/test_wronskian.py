@@ -32,8 +32,16 @@ from meroconn import (
     valuation,
     wronskian_determinant,
 )
+from meroconn import wronskian as wronskian_mod
+from meroconn.cli import run_command
 from meroconn.errors import NotCyclic, SingularEvaluationPoint, ZeroSection
-from helpers import random_poly_section, random_rank2_connection, rng_for
+from meroconn.fixtures import fixture_file, fixture_names
+from helpers import (
+    random_connection,
+    random_poly_section,
+    random_rank2_connection,
+    rng_for,
+)
 
 ONE = RatFun.const(1)
 ZERO = RatFun.const(0)
@@ -183,6 +191,38 @@ class TestCyclicReduce:
                 ode = cyclic_reduce(conn, omega)
                 assert ode.coeffs[-1] * a == a.derivative() + tr * a
 
+    def test_one_elimination_matches_det_and_solve(self):
+        # the reduction's Wronskian is wronskian_determinant and its
+        # coefficients are solve_linear on the iterate matrix, exactly
+        from meroconn import solve_linear
+
+        rng = rng_for("one-elimination")
+        cases = []
+        for name in fixture_names():
+            conn = fixture(name)
+            cases.append((conn, Section([ONE] + [ZERO] * (conn.rank - 1),
+                                        conn.splitting)))
+            cases += [(conn, random_poly_section(rng, conn)) for _ in range(4)]
+        for _ in range(8):
+            conn = random_connection(rng)
+            cases.append((conn, random_poly_section(rng, conn)))
+        reduced = 0
+        for conn, omega in cases:
+            a = wronskian_determinant(conn, omega)
+            if a.is_zero():
+                with pytest.raises(NotCyclic):
+                    wronskian_mod._reduce(conn, omega)
+                continue
+            got_a, ode = wronskian_mod._reduce(conn, omega)
+            its = iterated(conn, omega, conn.rank)
+            n = conn.rank
+            mat = [[its[j].comps[i] for j in range(n)] for i in range(n)]
+            assert got_a == a
+            assert ode.coeffs == tuple(solve_linear(
+                mat, [its[n].comps[i] for i in range(n)]))
+            reduced += 1
+        assert reduced >= len(cases) - 4
+
     def test_derivative_of_determinant_identity(self):
         # det[omega, grad^alpha omega] = A' + tr(M) A for alpha = 2
         from meroconn import det_ratfun
@@ -326,3 +366,47 @@ def test_line_bundle_collapse():
     shifted = spanning_sections(conn, parse_divisor("inf^2"))
     best = max(best, max(generation_bound(conn, s) for s in shifted))
     assert best == 2 + 0 + 1 == h_bound(conn, 2)
+
+
+class TestDerivedOnce:
+    """Each command derives the section's iterates and Wronskian once."""
+
+    @pytest.fixture()
+    def counts(self, monkeypatch):
+        counts = {"covariant_derivative": 0, "det_ratfun": 0}
+        for name in counts:
+            original = getattr(wronskian_mod, name)
+
+            def counted(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(wronskian_mod, name, counted)
+        return counts
+
+    @pytest.fixture()
+    def tri(self, tmp_path):
+        path = tmp_path / "tri.conn"
+        path.write_text(fixture_file("triangle-diag"))
+        return str(path)
+
+    def test_classify_derives_rank_iterates(self, counts, tri):
+        code, report = run_command(["classify", tri, "--section=t^2+1,t-3"])
+        assert code == 0 and report["results"]["residue_identity"]
+        assert counts["covariant_derivative"] == 2
+        assert counts["det_ratfun"] == 0
+
+    def test_wronskian_runs_one_wronskian(self, counts, tri):
+        code, report = run_command(["wronskian", tri, "--section=t^2+1,t-3"])
+        assert code == 0 and "generation_bound" in report["results"]
+        assert counts["det_ratfun"] == 1
+        assert counts["covariant_derivative"] == 1
+
+    def test_estimate_h_one_wronskian_per_sample(self, counts):
+        # triangle-diag is irreducible, so every sample has a non-zero
+        # Wronskian; the samples include ones with rational zeros off the
+        # singular set, where the bound and the index at the zero are taken
+        conn = fixture("triangle-diag")
+        report = estimate_H(conn, 2, parse_divisor("inf^2"), 10, seed=1)
+        assert report.max_observed_generation > conn.rank
+        assert counts["det_ratfun"] == 10
