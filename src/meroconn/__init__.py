@@ -67,6 +67,7 @@ from .monodromy import (
     MonodromyReport,
     PathSpec,
     PeriodJet,
+    TransportDiagnostics,
     achieve_multiplicity,
     achieve_with_jet,
     default_base,

@@ -11,10 +11,15 @@ re-runs.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
+from dataclasses import asdict
+
+try:    # CPython's own SHA-256; hashlib's OpenSSL backend adds 3.7 MB of RSS
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 import numpy as np
 
@@ -22,12 +27,12 @@ from . import fixtures as fixtures_mod
 from .bundle import INF, Divisor, Section, SplittingType, parse_divisor
 from .connection import Connection, local_data
 from .errors import ParseError, ToolkitError, ValidationFailed
-from .exactalg import GaussRat, parse_gaussrat, parse_ratfun
-from .monodromy import (_check_tol, achieve_with_jet, default_base,
-                        monodromy_generators, ode_residual)
-from .wronskian import (_apparent_report, _generation_cap, _reduce,
-                        _residue_records, cyclic_reduce, estimate_H,
-                        fuchs_check, h_bound, iterated, wronskian_determinant)
+from .exactalg import GaussRat, _root_factors, parse_gaussrat, parse_ratfun
+from .monodromy import (_check_tol, _ode_residual, achieve_with_jet,
+                        default_base, monodromy_generators)
+from .wronskian import (_apparent_report, _eliminate, _generation_cap, _reduce,
+                        _residue_records, estimate_H, fuchs_check, h_bound,
+                        iterated, wronskian_determinant)
 
 __all__ = ["parse_connection_file", "run_command", "main"]
 
@@ -137,7 +142,7 @@ def _section_strings(section: Section) -> list:
 
 
 def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+    return sha256(text.encode()).hexdigest()
 
 
 def _emit(report: dict, fmt: str, out=None):
@@ -232,7 +237,8 @@ def _cmd_ode(args):
     conn, inputs = _load(args)
     section = _section_from_arg(conn, args.section)
     _check_tol(args.tol)
-    ode = cyclic_reduce(conn, section)
+    its = iterated(conn, section, conn.rank)   # shared with the period jet
+    _, ode = _eliminate(conn, its)
     verdicts = fuchs_check(ode, conn.singular_points)
     return 0, inputs, {
         "order": ode.order,
@@ -243,8 +249,8 @@ def _cmd_ode(args):
                             for k, p, al in bad]}
             for b, ok, bad in verdicts
         ],
-        "residual_at_base": ode_residual(conn, section, ode,
-                                         _default_probe(conn), tol=args.tol),
+        "residual_at_base": _ode_residual(conn, its, ode,
+                                          _default_probe(conn), args.tol),
     }
 
 
@@ -256,8 +262,9 @@ def _cmd_classify(args):
     conn, inputs = _load(args)
     section = _section_from_arg(conn, args.section)
     a, ode = _reduce(conn, section)
-    app = _apparent_report(conn, a, ode)
-    res = _residue_records(conn, a, ode)
+    factors = _root_factors(a.num)     # one decomposition serves both
+    app = _apparent_report(conn, ode, factors)
+    res = _residue_records(conn, a, ode, factors)
     return 0, inputs, {
         "apparent": [
             {
@@ -318,6 +325,7 @@ def _cmd_monodromy(args):
         "transport_error_estimate": report.transport_error,
         "irreducible": report.irreducible.kind,
         "irreducible_margin": report.irreducible.margin,
+        "generator_diagnostics": [asdict(d) for d in report.diagnostics],
     }
 
 

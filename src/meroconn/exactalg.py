@@ -656,13 +656,20 @@ def rational_roots(p: Poly):
     """
     if p.is_zero():
         raise ZeroPolynomial("zero polynomial has every point as a root")
+    return [(root, mult) for _, mult, roots in _root_factors(p)
+            for root in roots]
+
+
+def _root_factors(p: Poly) -> list:
+    """(factor, multiplicity, rational roots of factor) for each Yun factor
+    of p, with the roots found and certified as in rational_roots."""
     out = []
     windows = (10, 10 ** 2, 10 ** 4, 10 ** 6, 10 ** 9)
     # the roots of a squarefree factor are simple, so np.roots finds them to
     # near full precision; each root of factor has multiplicity mult in p
     for factor, mult in squarefree_decompose(p):
         coeffs = [factor[k].to_complex() for k in range(factor.deg, -1, -1)]
-        seen = set()
+        roots, seen = [], set()
         for z in np.roots(coeffs):
             for window in windows:
                 cand = GaussRat(Fraction(z.real).limit_denominator(window),
@@ -671,8 +678,9 @@ def rational_roots(p: Poly):
                     continue
                 seen.add(cand)
                 if factor.eval(cand).is_zero():
-                    out.append((cand, mult))
+                    roots.append(cand)
                     break
+        out.append((factor, mult, roots))
     return out
 
 

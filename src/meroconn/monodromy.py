@@ -2,16 +2,23 @@
 
 Flat sections solve v' = -M(t) v.  Flat dual sections solve u' = M(t)^T u,
 which keeps U^T T constant, so the dual frame is taken as U = T^{-T} from
-the flat frame T rather than transported.  Transport uses an adaptive
-Dormand-Prince 5(4) pair with PI step control; the step length is
-additionally capped at a quarter of the distance to the nearest singular
-point.  All numerics are double precision and every report carries an
-accumulated local-error estimate.
+the flat frame T rather than transported.  Transport writes the system as
+q Y' = -P Y (q the monic common denominator of M, P = q M) and sums the
+Taylor series of each step by its recurrence (van der Hoeven, "Fast
+evaluation of holonomic functions", 1999).  Steps are chords no longer
+than a third of the distance to the nearest singular point, and each
+stops at the first order whose certified truncation bound is at most tol
+times its share of the piece, or 1e-15 |Y|.  A report's transport error
+sums these bounds; roundoff and the growth of earlier errors are not in
+it, and det_defect shows them.  Each generator also reports its steps,
+largest order, least clearance and summed bound (TransportDiagnostics).
+All numerics are double precision.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -27,14 +34,15 @@ from .errors import (
     SingularityTooClose,
     StepUnderflow,
 )
-from .exactalg import GaussRat, RatFun, residue
+from .exactalg import GaussRat, Poly, RatFun, residue
 from .wronskian import ScalarODE, iterated
 
 __all__ = [
     "Line", "Arc", "PathSpec", "MonodromyReport", "PeriodJet",
-    "IrreducibilityVerdict", "default_base", "loop_paths", "transport",
-    "monodromy_generators", "irreducibility_check", "period_jet",
-    "achieve_with_jet", "achieve_multiplicity", "ode_residual",
+    "TransportDiagnostics", "IrreducibilityVerdict", "default_base",
+    "loop_paths", "transport", "monodromy_generators",
+    "irreducibility_check", "period_jet", "achieve_with_jet",
+    "achieve_multiplicity", "ode_residual",
 ]
 
 
@@ -115,114 +123,99 @@ def loop_paths(conn: Connection, base: complex | None = None) -> PathSpec:
 
 
 # ---------------------------------------------------------------------------
-# right-hand side
+# Taylor-series transport
 # ---------------------------------------------------------------------------
 
-class _MatrixEval:
-    """Fast complex evaluation of -M, the matrix of v' = -M v."""
+_MIN_CLEARANCE = 1e-12
+_MAX_ORDER = 200         # a step that needs more terms raises StepUnderflow
+_ROUNDOFF = 1e-15        # floor of a step's tail target, relative to |Y|
+
+
+@dataclass
+class TransportDiagnostics:
+    """Steps, largest order, least clearance and summed tail bounds."""
+
+    steps: int = 0
+    max_order: int = 0
+    min_clearance: float = math.inf
+    tail_bound: float = 0.0
+
+
+class _TaylorStepper:
+    """q Y' = -P Y, with q the monic common denominator of M and P = q M,
+    converted once from exact to complex coefficient arrays."""
 
     def __init__(self, conn: Connection):
         n = conn.rank
-        self.n = n
-        self.entries = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                e = conn.matrix[i][j]
-                num = np.array([c.to_complex() for c in reversed(e.num.coeffs)]
-                               or [0.0 + 0j])
-                den = np.array([c.to_complex() for c in reversed(e.den.coeffs)])
-                row.append((num, den))
-            self.entries.append(row)
+        entries = [e for row in conn.matrix for e in row]
+        dens = set(e.den for e in entries)
+        roots = [(c, max(d.root_multiplicity(c) for d in dens))
+                 for c in conn.singular_points]
+        q = Poly.from_roots([c for c, k in roots for _ in range(k)])
+        self.roots = [(c.to_complex(), k) for c, k in roots if k]
+        self.sings = [c.to_complex() for c in conn.singular_points]
+        cofactor = {d: q // d for d in dens}
+        polys = [e.num * cofactor[e.den] for e in entries] + [q]
+        deg = max(p.deg for p in polys)
+        self.coeffs = np.array([[p[k].to_complex() for p in polys]
+                                for k in range(deg + 1)])
+        j = np.arange(deg + 1)
+        self.binom = np.array([[math.comb(i, r) for i in j] for r in j])
+        self.lag, self.powers = np.maximum(j - j[:, None], 0), j[:, None]
+        self.eye = np.eye(n)[:, None, :]
+        self.ks = np.arange(_MAX_ORDER + 2.0)
+        # row k: [1 / (k+1), 1], the factors of Z_{k+1} and (k+1) Z_{k+1}
+        self.factors = np.ones((_MAX_ORDER, 2, 1, 1))
+        self.factors[:, 0, 0, 0] = 1 / self.ks[1:-1]
 
-    def matrix(self, z: complex) -> np.ndarray:
-        n = self.n
-        out = np.empty((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                num, den = self.entries[i][j]
-                out[i, j] = np.polyval(num, z) / np.polyval(den, z)
-        return -out
-
-
-# Dormand-Prince 5(4) tableau
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-          187 / 2100, 1 / 40)
-
-_MIN_STEP = 1e-13
-_MIN_CLEARANCE = 1e-12
-
-
-def _integrate_piece(rhs: _MatrixEval, piece, y: np.ndarray, tol: float,
-                     sings: list):
-    """One smooth piece; returns (y, accumulated local-error estimate)."""
-
-    def f(s, yy):
-        z = piece.z(s)
-        dz = piece.dz(s)
-        return (rhs.matrix(z) @ yy) * dz
-
-    s = 0.0
-    h = 0.1
-    err_acc = 0.0
-    prev_ratio = 1.0
-    while s < 1.0:
-        z = piece.z(s)
-        speed = abs(piece.dz(s))
-        if sings:
-            dist = min(abs(z - c) for c in sings)
-            if dist < _MIN_CLEARANCE:
-                raise SingularityTooClose(
-                    f"path point {z} is within {dist:.2e} of a singular point")
-            if speed > 0:
-                h = min(h, 0.25 * dist / speed)
-        h = min(h, 1.0 - s)
-        if h < _MIN_STEP:
-            raise StepUnderflow("step size underflow during transport")
-        # embedded Dormand-Prince step
-        ks = []
-        for stage in range(7):
-            ys = y
-            for a, k in zip(_DP_A[stage], ks):
-                if a:
-                    ys = ys + (h * a) * k
-            ks.append(f(s + _DP_C[stage] * h, ys))
-        y5 = y
-        y4 = y
-        for b5, b4, k in zip(_DP_B5, _DP_B4, ks):
-            if b5:
-                y5 = y5 + (h * b5) * k
-            if b4:
-                y4 = y4 + (h * b4) * k
-        err = float(np.max(np.abs(y5 - y4)))
-        scale = max(1.0, float(np.max(np.abs(y))))
-        # local error per unit length <= tol, with a roundoff floor
-        allowed = scale * (tol * h * speed + 1e-15)
-        ratio = allowed / err if err > 0 else 10.0
-        if err <= allowed:
-            s += h
-            y = y5
-            err_acc += err
-            # PI controller
-            factor = 0.9 * ratio ** 0.14 * prev_ratio ** 0.08
-            prev_ratio = ratio
-            h *= min(5.0, max(0.2, factor))
-        else:
-            h *= max(0.2, 0.9 * ratio ** 0.2)
-            if h < _MIN_STEP:
-                raise StepUnderflow("tolerance unreachable during transport")
-    return y, err_acc
+    def step(self, z0: complex, h: complex, y0: np.ndarray, target: float,
+             order: int):
+        """(Y(z0 + h), K, bound) from Y(z0) = y0, an n x m matrix.  The
+        coefficients Z_k of Y(z0 + h s) follow
+        q_0 (k+1) Z_{k+1} = -sum_j P_j Z_{k-j} - sum_{j>=1} q_j (k+1-j) Z_{k+1-j},
+        with P_j, q_j those of h P(z0 + h s) and q(z0 + h s).  At least
+        `order` terms are formed; the sum stops at the first order K whose
+        tail bound is <= target."""
+        (n, m), L, top = y0.shape, len(self.lag), len(self.factors)
+        deg = L - 1
+        S = (self.binom * z0 ** self.lag * h ** self.powers) @ self.coeffs
+        Pj, qj = S[:, :-1].reshape(L, n, n) * h, S[:, -1]
+        pn, qa = np.abs(Pj).sum(axis=2).max(axis=1), np.abs(qj)
+        # On the chord |q| >= qmin and |h M| <= A = sum_j |P_j| / qmin.  The
+        # residual R = q Y' + P Y of Z_0 + ... + Z_K starts at s^K, so by
+        # Gronwall its error is at most e^A / qmin * sum_k |R_k| / (k + 1),
+        # and sum_k |R_k| <= sum_i |Z_i| (sum_{j>=K-i} |P_j|
+        #                                 + i sum_{j>K-i} |q_j|).
+        qmin = math.prod((abs(z0 - c) - abs(h)) ** k for c, k in self.roots)
+        pre = math.exp(pn.sum() / qmin) / qmin
+        Ps, Qs = np.cumsum(pn[::-1])[::-1], np.cumsum(qa[::-1])[::-1] - qa
+        # X[i + deg] = [Z_i; i Z_i], and G @ X[k : k + L] is the sum on the
+        # right of the recurrence
+        G = np.zeros((n, L, 2, n), dtype=complex)
+        G[:, :, 0, :] = Pj[::-1].transpose(1, 0, 2)
+        G[:, 1:, 1, :] = qj[:0:-1, None] * self.eye
+        X = np.zeros((L + top, 2, n, m), dtype=complex)
+        X[deg, 0] = y0
+        G, rows = G.reshape(n, -1), X.reshape(-1, m)
+        w = self.factors * (-1 / qj[0])
+        done, order = 0, max(1, min(order, top))
+        while True:
+            for k in range(done, order):
+                np.multiply(G @ rows[2 * n * k:2 * n * (k + L)], w[k],
+                            out=X[k + L])
+            done, Z = order, X[deg:deg + order + 1, 0]
+            zn = np.abs(Z).sum(axis=2).max(axis=1)
+            r = (np.convolve(zn, Ps)[:order + 1]
+                 + np.convolve(self.ks[:order + 1] * zn, Qs)[:order + 1])
+            bounds = pre * r / self.ks[1:order + 2]
+            ok = np.flatnonzero(bounds <= target)
+            if ok.size:
+                K = int(ok[0])
+                return Z[:K + 1].sum(axis=0), K, float(bounds[K])
+            if order == top:
+                raise StepUnderflow(
+                    f"no order up to {top} meets the tail target")
+            order = min(top, order + max(4, order // 2))
 
 
 def _check_tol(tol: float):
@@ -231,15 +224,37 @@ def _check_tol(tol: float):
         raise InvalidArgument(f"tol must be positive, got {tol}")
 
 
-def _transport(rhs: _MatrixEval, pieces, y0: np.ndarray, tol: float,
+def _transport(rhs: _TaylorStepper, pieces, y0: np.ndarray, tol: float,
                sings: list):
+    """(value at the end of the pieces, TransportDiagnostics).  Pieces are
+    walked along chords no longer than a third of the distance to the
+    nearest singular point.  A step's tail bound is at most tol times its
+    share of the piece (times |Y| when |Y| < 1), or the roundoff floor."""
     _check_tol(tol)
-    y = np.array(y0, dtype=complex)
-    err = 0.0
+    y0 = np.asarray(y0, dtype=complex)
+    y = y0.reshape(len(y0), -1)
+    diag = TransportDiagnostics()
+    order = max(1, math.ceil(-math.log(max(tol, _ROUNDOFF)) / math.log(3)))
     for piece in pieces:
-        y, e = _integrate_piece(rhs, piece, y, tol, sings)
-        err += e
-    return y, err
+        speed, s = abs(piece.dz(0.0)), 0.0
+        while s < 1.0:
+            z = piece.z(s)
+            rho = min((abs(z - c) for c in sings), default=math.inf)
+            if rho < _MIN_CLEARANCE:
+                raise SingularityTooClose(
+                    f"path point {z} is within {rho:.2e} of a singular point")
+            ds = min(1.0 - s, rho / (3 * speed)) if speed > 0 else 1.0 - s
+            end = 1.0 if ds >= 1.0 - s else s + ds
+            ynorm = float(np.abs(y).sum(axis=1).max())
+            target = max(tol * ds * min(1.0, ynorm), _ROUNDOFF * ynorm)
+            # each step forms one term more than the last one needed
+            y, K, bound = rhs.step(z, piece.z(end) - z, y, target, order)
+            order, s = K + 1, end
+            diag.steps += 1
+            diag.max_order = max(diag.max_order, K)
+            diag.min_clearance = min(diag.min_clearance, rho)
+            diag.tail_bound += bound
+    return y.reshape(y0.shape), diag
 
 
 def transport(conn: Connection, path, v0, tol: float = 1e-12) -> np.ndarray:
@@ -247,10 +262,8 @@ def transport(conn: Connection, path, v0, tol: float = 1e-12) -> np.ndarray:
     a list of pieces); returns the endpoint value."""
     conn.ensure_valid()
     pieces = [path] if isinstance(path, (Line, Arc)) else list(path)
-    sings = [c.to_complex() for c in conn.singular_points]
-    rhs = _MatrixEval(conn)
-    y, _ = _transport(rhs, pieces, np.asarray(v0, dtype=complex), tol, sings)
-    return y
+    rhs = _TaylorStepper(conn)
+    return _transport(rhs, pieces, v0, tol, rhs.sings)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +289,13 @@ class MonodromyReport:
     points: list                    # ordered singular points
     matrices: list                  # generators T_c, same order
     defect: float                   # || T_last ... T_first - I ||_inf
-    transport_error: float
+    transport_error: float          # sum of the certified tail bounds
     det_defect: float               # max relative error of det T_c
     irreducible: IrreducibilityVerdict | None = None
+    diagnostics: list = field(default_factory=list)  # per generator
 
     def generator(self, c) -> np.ndarray:
-        z = c.to_complex() if isinstance(c, GaussRat) else complex(c)
+        z = _as_complex(c)
         for p, T in zip(self.points, self.matrices):
             if abs(p - z) < 1e-9:
                 return T
@@ -295,12 +309,12 @@ def monodromy_generators(conn: Connection, base=None, tol: float = 1e-12,
     conn.ensure_valid()
     spec = loop_paths(conn, base)
     n = conn.rank
-    sings = [c.to_complex() for c in conn.singular_points]
-    rhs = _MatrixEval(conn)
+    rhs = _TaylorStepper(conn)
     eye = np.eye(n, dtype=complex)
-    results = [_transport(rhs, loop, eye, tol, sings) for loop in spec.loops]
+    results = [_transport(rhs, loop, eye, tol, rhs.sings)
+               for loop in spec.loops]
     Ts = [r[0] for r in results]
-    err = sum(r[1] for r in results)
+    diags = [r[1] for r in results]
     prod = eye.copy()
     for T in Ts:                       # first loop applied first
         prod = T @ prod
@@ -315,8 +329,9 @@ def monodromy_generators(conn: Connection, base=None, tol: float = 1e-12,
         got = np.linalg.det(Ts[spec.points.index(c.to_complex())])
         det_defect = max(det_defect, float(abs(got - want) / abs(want)))
     report = MonodromyReport(base=spec.base, points=spec.points, matrices=Ts,
-                             defect=defect, transport_error=err,
-                             det_defect=det_defect)
+                             defect=defect, det_defect=det_defect,
+                             transport_error=sum(d.tail_bound for d in diags),
+                             diagnostics=diags)
     if with_verdict:
         report.irreducible = _verdict_from_generators(Ts, n, defect, trials)
     return report
@@ -326,22 +341,12 @@ def _joint_line_search(Ts, n):
     """Best candidate for a common eigenvector: minimize the smallest
     singular value of the stacked matrices T_k - lambda_k I over all
     eigenvalue choices."""
-    eigs = [np.linalg.eigvals(T) for T in Ts]
     best = (math.inf, None)
-    idx = [0] * len(Ts)
-
-    def rec(k, chosen):
-        nonlocal best
-        if k == len(Ts):
-            stacked = np.vstack([T - lam * np.eye(n) for T, lam in zip(Ts, chosen)])
-            _, s, vh = np.linalg.svd(stacked)
-            if s[-1] < best[0]:
-                best = (float(s[-1]), vh[-1].conj())
-            return
-        for lam in eigs[k]:
-            rec(k + 1, chosen + [lam])
-
-    rec(0, [])
+    for chosen in itertools.product(*[np.linalg.eigvals(T) for T in Ts]):
+        stacked = np.vstack([T - lam * np.eye(n) for T, lam in zip(Ts, chosen)])
+        _, s, vh = np.linalg.svd(stacked)
+        if s[-1] < best[0]:
+            best = (float(s[-1]), vh[-1].conj())
     return best
 
 
@@ -441,11 +446,10 @@ def _dual_frame_at(conn: Connection, t0: complex, tol: float):
     """Flat dual frame at t0 that is the identity at the default base:
     U = T^{-T}, with T the flat frame transported from the base to t0
     along a straight segment."""
-    base = default_base(conn)
-    sings = [c.to_complex() for c in conn.singular_points]
-    eye = np.eye(conn.rank, dtype=complex)
-    T, err = _transport(_MatrixEval(conn), [Line(base, t0)], eye, tol, sings)
-    return np.linalg.inv(T).T, err
+    rhs = _TaylorStepper(conn)
+    T, diag = _transport(rhs, [Line(default_base(conn), t0)],
+                         np.eye(conn.rank, dtype=complex), tol, rhs.sings)
+    return np.linalg.inv(T).T, diag.tail_bound
 
 
 def _pairings(U: np.ndarray, its, z0: complex) -> np.ndarray:
@@ -475,15 +479,18 @@ def period_jet(conn: Connection, section: Section, t0, depth: int,
 def ode_residual(conn: Connection, section: Section, ode: ScalarODE, t0,
                  tol: float = 1e-12) -> float:
     """Normalized defect of the scalar equation on the numeric period jet."""
-    alpha = conn.rank
-    jet = period_jet(conn, section, t0, alpha + 1, tol)
-    z0 = jet.base
-    cs = ode.ceval_coeffs(z0)
-    top = jet.jet[alpha].copy()
-    for k, c in enumerate(cs):
-        top -= c * jet.jet[k]
-    scale = 1.0 + float(np.max(np.abs(jet.jet)))
-    return float(np.max(np.abs(top))) / scale
+    conn.ensure_valid()
+    return _ode_residual(conn, iterated(conn, section, conn.rank), ode, t0,
+                         tol)
+
+
+def _ode_residual(conn: Connection, its: list, ode: ScalarODE, t0,
+                  tol: float) -> float:
+    """ode_residual from the section's iterates grad^0 w ... grad^rank w."""
+    z0 = _as_complex(t0)
+    jet = _pairings(_dual_frame_at(conn, z0, tol)[0], its, z0)
+    top = jet[conn.rank] - np.array(ode.ceval_coeffs(z0)) @ jet[:conn.rank]
+    return float(np.max(np.abs(top))) / (1.0 + float(np.max(np.abs(jet))))
 
 
 def achieve_with_jet(conn: Connection, n: int, E: Divisor, t0,

@@ -35,13 +35,13 @@ from .exactalg import (
     _back_substitute,
     _coerce,
     _pivot_product,
+    _root_factors,
     _row_echelon,
     det_ratfun,
     linear_root,
     max_zero_multiplicity,
     rational_roots,
     residue,
-    squarefree_decompose,
     valuation,
 )
 
@@ -227,14 +227,18 @@ def estimate_H(conn: Connection, n: int, E: Divisor, samples: int,
 
 
 def _reduce(conn: Connection, section: Section):
-    """(Wronskian, scalar equation) from one elimination of
+    """(Wronskian, scalar equation) of a section; see _eliminate."""
+    return _eliminate(conn, iterated(conn, section, conn.rank))
+
+
+def _eliminate(conn: Connection, its: list):
+    """(Wronskian, scalar equation) from one elimination of the iterates
     [grad^0 w ... grad^(a-1) w | grad^a w]: the pivot count tests
     cyclicity, the signed pivot product is the Wronskian (det_ratfun finds
     the same pivots), and back-substitution gives the coefficients."""
-    if section.is_zero():
+    if its[0].is_zero():
         raise ZeroSection("Wronskian of the zero section")
     alpha = conn.rank
-    its = iterated(conn, section, alpha)
     M = [[its[j].comps[i] for j in range(alpha + 1)] for i in range(alpha)]
     pivots, swaps = _row_echelon(M, alpha)
     if len(pivots) < alpha:
@@ -247,7 +251,6 @@ def cyclic_reduce(conn: Connection, section: Section) -> ScalarODE:
     """Scalar equation satisfied by every pairing of a flat dual section
     with the given section."""
     return _reduce(conn, section)[1]
-
 
 def fuchs_check(ode: ScalarODE, points):
     """Per-point regularity test: the coefficient of y^(k) may have a pole
@@ -281,16 +284,19 @@ class ResidueCheckRecord:
 def residue_identity_check(conn: Connection, section: Section):
     """Exact identity res(c_{alpha-1}, b) = val(A, b) away from the divisor,
     with the tr M residue correction at divisor points."""
-    return _residue_records(conn, *_reduce(conn, section))
+    a, ode = _reduce(conn, section)
+    return _residue_records(conn, a, ode, _root_factors(a.num))
 
 
-def _residue_records(conn: Connection, a: RatFun, ode: ScalarODE):
+def _residue_records(conn: Connection, a: RatFun, ode: ScalarODE,
+                     factors: list):
     p1 = ode.coeffs[-1]
     tr = conn.trace()
     sing = list(conn.singular_points)
     # rational zeros and poles of the Wronskian, then the divisor, each once
-    points = dict.fromkeys([root for poly in (a.num, a.den) if poly.deg > 0
-                            for root, _ in rational_roots(poly)] + sing)
+    points = dict.fromkeys([root for _, _, roots in factors for root in roots]
+                           + [root for root, _ in rational_roots(a.den)]
+                           + sing)
     records = []
     for b in points:
         in_div = b in sing
@@ -319,17 +325,18 @@ def apparent_singularities(conn: Connection, section: Section) -> ApparentReport
     """Classify the zeros of the Wronskian away from the divisor: exact
     records at Gaussian-rational zeros, clustered double-precision records
     (flagged) elsewhere."""
-    return _apparent_report(conn, *_reduce(conn, section))
+    a, ode = _reduce(conn, section)
+    return _apparent_report(conn, ode, _root_factors(a.num))
 
 
-def _apparent_report(conn: Connection, a: RatFun,
-                     ode: ScalarODE) -> ApparentReport:
+def _apparent_report(conn: Connection, ode: ScalarODE,
+                     factors: list) -> ApparentReport:
     p1 = ode.coeffs[-1]
     alpha = conn.rank
     sing = set(conn.singular_points)
     records = []
-    for factor, mult in squarefree_decompose(a.num):
-        for root, _ in rational_roots(factor):
+    for factor, mult, roots in factors:
+        for root in roots:
             factor = factor // Poly([-root, GaussRat(1)])
             if root in sing:
                 continue

@@ -1,8 +1,10 @@
 """Connection file format, subcommands, exit codes, report determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -100,6 +102,51 @@ class TestSubcommands:
         assert report["results"]["product_defect"] < 1e-8
         assert report["results"]["irreducible"] == "irreducible"
 
+    def test_input_digest_is_sha256(self, tmp_path):
+        text = fixture_file("triangle-diag")
+        path = tmp_path / "td.conn"
+        path.write_text(text)
+        code, report = run_command(["validate", str(path)])
+        assert code == 0
+        assert report["inputs"]["sha256"] == \
+            hashlib.sha256(text.encode()).hexdigest()
+
+    def test_monodromy_generator_diagnostics(self, tmp_path):
+        path = tmp_path / "td.conn"
+        path.write_text(fixture_file("triangle-diag"))
+        code, report = run_command(["monodromy", str(path), "--tol", "1e-10"])
+        res = report["results"]
+        assert code == 0
+        assert len(res["generator_diagnostics"]) == len(res["points"]) == 3
+        for diag in res["generator_diagnostics"]:
+            assert sorted(diag) == ["max_order", "min_clearance", "steps",
+                                    "tail_bound"]
+            assert diag["steps"] > 0 and diag["max_order"] > 0
+            # each circle keeps 0.5 from its point; an approach line may
+            # pass closer to another one
+            assert 0.1 < diag["min_clearance"] <= 0.5 + 1e-12
+            # three pieces per loop, each with a summed bound <= tol
+            assert 0 < diag["tail_bound"] <= 3e-10
+        assert res["transport_error_estimate"] == pytest.approx(
+            sum(d["tail_bound"] for d in res["generator_diagnostics"]))
+
+    def test_monodromy_tiny_tol_bounded_order(self, tmp_path):
+        # the roundoff floor of each step's tail target bounds the order
+        path = tmp_path / "td.conn"
+        path.write_text(fixture_file("triangle-diag"))
+        started = time.monotonic()
+        proc = run_cli(["--format", "json", "monodromy", str(path),
+                        "--tol", "1e-300"])
+        assert time.monotonic() - started < 20
+        assert proc.returncode in (0, 1)
+        report = json.loads(proc.stdout)
+        if proc.returncode == 0:
+            assert report["results"]["det_defect"] < 1e-10
+            assert all(d["max_order"] < 100
+                       for d in report["results"]["generator_diagnostics"])
+        else:
+            assert report["error"]
+
 
 class TestArguments:
     @pytest.fixture()
@@ -141,9 +188,10 @@ class TestArguments:
     def test_ode_tol_checked_before_reduction(self, files, capsys,
                                               monkeypatch, tol):
         def refuse(*args):
-            raise AssertionError("cyclic_reduce ran before the tol check")
+            raise AssertionError("the iterates were derived before the tol "
+                                 "check")
 
-        monkeypatch.setattr("meroconn.cli.cyclic_reduce", refuse)
+        monkeypatch.setattr("meroconn.cli.iterated", refuse)
         err = self._domain_error(capsys, ["ode", str(files / "euler.conn"),
                                           f"--tol={tol}"])
         assert "tol must be positive" in err

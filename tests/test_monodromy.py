@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,6 +14,7 @@ from meroconn import (
     Divisor,
     GaussRat,
     Line,
+    Poly,
     RatFun,
     Section,
     SplittingType,
@@ -31,7 +33,8 @@ from meroconn import (
     period_jet,
     transport,
 )
-from meroconn.errors import DegenerateJet
+from meroconn import monodromy as monodromy_mod
+from meroconn.errors import DegenerateJet, StepUnderflow
 
 ONE = RatFun.const(1)
 ZERO = RatFun.const(0)
@@ -86,6 +89,12 @@ class TestTransport:
             errs.append(abs(out[0] - exact))
         for coarse, fine in zip(errs, errs[1:]):
             assert fine <= coarse / 2 or fine < 1e-13
+
+    def test_order_cap_raises_step_underflow(self, monkeypatch):
+        monkeypatch.setattr(monodromy_mod, "_MAX_ORDER", 3)
+        with pytest.raises(StepUnderflow):
+            transport(fixture("euler-half"), Line(2.0, 5.0 + 3.0j), [1.0],
+                      tol=1e-12)
 
     def test_pairing_constancy(self):
         rng = random.Random(17)
@@ -243,3 +252,141 @@ class TestAchieveMultiplicity:
         with pytest.raises(DegenerateJet):
             achieve_multiplicity(conn, 1, parse_divisor("inf^1"), 2.0 + 1.0j,
                                  tol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# 30-digit oracle
+# ---------------------------------------------------------------------------
+
+FIXTURE_NAMES = ("euler-half", "triangle-nilpotent", "triangle-diag",
+                 "two-point-reducible")
+
+
+def _mp_poly_at(coeffs, z0):
+    """Taylor coefficients of a polynomial (lowest first) at z0."""
+    out, r = [], list(coeffs)
+    while r:
+        acc, quot = mpmath.mpc(0), []
+        for a in reversed(r):
+            acc = acc * z0 + a
+            quot.append(acc)
+        out.append(quot.pop())
+        r = quot[::-1]
+    return out
+
+
+def _mp_loop_generators(conn, dps=30):
+    """Each loop's flat frame in dps-digit arithmetic: the Taylor series
+    of q Y' = -P Y at every step (q the product of the distinct entry
+    denominators), summed until three terms in a row fall below
+    10^-(dps+2), with steps of a quarter of the clearance."""
+    def mpc(g):
+        return mpmath.mpc(mpmath.mpf(g.re.numerator) / g.re.denominator,
+                          mpmath.mpf(g.im.numerator) / g.im.denominator)
+
+    n = conn.rank
+    with mpmath.workdps(dps):
+        q = Poly.const(1)
+        for den in {e.den for row in conn.matrix for e in row}:
+            q = q * den
+        Pc = [[[mpc(c) for c in (e.num * (q // e.den)).coeffs]
+               for e in row] for row in conn.matrix]
+        qc = [mpc(c) for c in q.coeffs]
+        sings = [mpc(c) for c in conn.singular_points]
+        tiny = mpmath.mpf(10) ** -(dps + 2)
+        out = []
+        for loop in loop_paths(conn).loops:
+            Y = [[mpmath.mpc(int(i == j)) for j in range(n)] for i in range(n)]
+            for piece in loop:
+                if isinstance(piece, Line):
+                    a, b = mpmath.mpc(piece.start), mpmath.mpc(piece.end)
+                    at = lambda s, a=a, b=b: a + s * (b - a)
+                    length = abs(b - a)
+                else:
+                    c, r = mpmath.mpc(piece.center), mpmath.mpf(piece.radius)
+                    t0 = mpmath.mpf(piece.theta0)
+                    t1 = mpmath.mpf(piece.theta1)
+                    at = lambda s, c=c, r=r, t0=t0, t1=t1: \
+                        c + r * mpmath.expj(t0 + s * (t1 - t0))
+                    length = r * abs(t1 - t0)
+                s = mpmath.mpf(0)
+                while s < 1:
+                    z0 = at(s)
+                    rho = min(abs(z0 - c) for c in sings)
+                    s1 = min(mpmath.mpf(1), s + rho / (4 * length))
+                    h = at(s1) - z0
+                    Pj = [[[v * h ** (k + 1) for k, v in
+                            enumerate(_mp_poly_at(Pc[i][l], z0))]
+                           for l in range(n)] for i in range(n)]
+                    qj = [v * h ** k for k, v in enumerate(_mp_poly_at(qc, z0))]
+                    Z = [Y]
+                    total = [row[:] for row in Y]
+                    small = 0
+                    k = 0
+                    while small < 3:
+                        nxt = [[mpmath.mpc(0)] * n for _ in range(n)]
+                        for i in range(n):
+                            for col in range(n):
+                                acc = mpmath.mpc(0)
+                                for l in range(n):
+                                    for jj, c in enumerate(Pj[i][l][:k + 1]):
+                                        acc += c * Z[k - jj][l][col]
+                                for jj in range(1, min(k + 1, len(qj) - 1) + 1):
+                                    acc += qj[jj] * (k + 1 - jj) \
+                                        * Z[k + 1 - jj][i][col]
+                                nxt[i][col] = -acc / (qj[0] * (k + 1))
+                        Z.append(nxt)
+                        for i in range(n):
+                            for col in range(n):
+                                total[i][col] += nxt[i][col]
+                        big = max(abs(v) for row in nxt for v in row)
+                        small = small + 1 if big < tiny else 0
+                        k += 1
+                    Y = total
+                    s = s1
+            out.append(np.array([[complex(v) for v in row] for row in Y]))
+    return out
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    return {name: _mp_loop_generators(fixture(name)) for name in FIXTURE_NAMES}
+
+
+class TestTaylorOracle:
+    """Double-precision generators against the 30-digit oracle."""
+
+    @staticmethod
+    def _errors(name, oracle, tol):
+        report = monodromy_generators(fixture(name), tol=tol,
+                                      with_verdict=False)
+        errs = [float(np.max(np.abs(T - ref)))
+                for T, ref in zip(report.matrices, oracle[name])]
+        return errs, report
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_within_reported_bound(self, name, oracle):
+        errs, report = self._errors(name, oracle, 1e-12)
+        for err, diag in zip(errs, report.diagnostics):
+            assert err <= diag.tail_bound + 1e-13, (name, err, diag)
+            # three pieces per loop, each with a summed tail bound <= tol
+            assert diag.tail_bound <= 3e-12
+            assert diag.steps > 0 and diag.max_order > 0
+            assert diag.min_clearance > 0.1
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_tol_sweep(self, name, oracle):
+        tols = [10.0 ** -e for e in range(6, 14)]
+        worst, bounds = [], []
+        for tol in tols:
+            errs, report = self._errors(name, oracle, tol)
+            for err, diag in zip(errs, report.diagnostics):
+                assert err <= diag.tail_bound + 1e-13, (name, tol, err)
+            worst.append(max(errs))
+            bounds.append(report.transport_error)
+        # the error falls with tol until roundoff, and so does the bound
+        for coarse, fine in zip(worst, worst[1:]):
+            assert fine <= coarse or fine < 1e-13, (name, worst)
+        assert worst[-1] < 1e-3 * worst[0] or worst[0] < 1e-10
+        for coarse, fine in zip(bounds, bounds[1:]):
+            assert fine < coarse

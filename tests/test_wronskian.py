@@ -32,6 +32,7 @@ from meroconn import (
     valuation,
     wronskian_determinant,
 )
+from meroconn import exactalg as exactalg_mod
 from meroconn import wronskian as wronskian_mod
 from meroconn.cli import run_command
 from meroconn.errors import NotCyclic, SingularEvaluationPoint, ZeroSection
@@ -410,3 +411,27 @@ class TestDerivedOnce:
         report = estimate_H(conn, 2, parse_divisor("inf^2"), 10, seed=1)
         assert report.max_observed_generation > conn.rank
         assert counts["det_ratfun"] == 10
+
+    def test_ode_derives_rank_iterates(self, counts, tri):
+        # the scalar equation and the period jet share grad^0 w ... grad^2 w
+        code, report = run_command(["ode", tri, "--section=t^2+1,t-3"])
+        assert code == 0 and report["results"]["residual_at_base"] < 1e-8
+        assert counts["covariant_derivative"] == 2
+
+    def test_classify_decomposes_numerator_once(self, monkeypatch, tri):
+        calls = []
+        original = exactalg_mod.squarefree_decompose
+
+        def counted(p):
+            calls.append(p)
+            return original(p)
+
+        monkeypatch.setattr(exactalg_mod, "squarefree_decompose", counted)
+        code, report = run_command(["classify", tri, "--section=t^2+1,t-3"])
+        assert code == 0 and report["results"]["apparent"]
+        a = wronskian_determinant(fixture("triangle-diag"),
+                                  Section([T * T + ONE, T - RatFun.const(3)],
+                                          SplittingType([0, 0])))
+        # one decomposition of the numerator, none of its squarefree
+        # factors; the denominator is decomposed for its poles
+        assert calls == [a.num, a.den]
