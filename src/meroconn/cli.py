@@ -11,15 +11,11 @@ re-runs.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
 from dataclasses import asdict
-
-try:    # CPython's own SHA-256; hashlib's OpenSSL backend adds 3.7 MB of RSS
-    from _sha256 import sha256
-except ImportError:
-    from hashlib import sha256
 
 import numpy as np
 
@@ -142,7 +138,7 @@ def _section_strings(section: Section) -> list:
 
 
 def _digest(text: str) -> str:
-    return sha256(text.encode()).hexdigest()
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _emit(report: dict, fmt: str, out=None):

@@ -148,8 +148,7 @@ def validate(conn: Connection) -> ValidationReport:
                               warnings=warnings)
     if report.ok:
         # residue theorem: implied by the two degree checks, asserted anyway
-        tr = conn.trace()
-        total = sum((residue(tr, c) for c in conn.singular_points),
+        total = sum((residue(conn.trace(), c) for c in conn.singular_points),
                     GaussRat(0))
         if total != GaussRat(-chern(conn.splitting)):
             report.ok = False

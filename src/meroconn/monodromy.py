@@ -18,7 +18,6 @@ All numerics are double precision.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -168,6 +167,7 @@ class _TaylorStepper:
         self.factors = np.ones((_MAX_ORDER, 2, 1, 1))
         self.factors[:, 0, 0, 0] = 1 / self.ks[1:-1]
 
+    @np.errstate(over="ignore", invalid="ignore")
     def step(self, z0: complex, h: complex, y0: np.ndarray, target: float,
              order: int):
         """(Y(z0 + h), K, bound) from Y(z0) = y0, an n x m matrix.  The
@@ -186,8 +186,9 @@ class _TaylorStepper:
         # Gronwall its error is at most e^A / qmin * sum_k |R_k| / (k + 1),
         # and sum_k |R_k| <= sum_i |Z_i| (sum_{j>=K-i} |P_j|
         #                                 + i sum_{j>K-i} |q_j|).
-        qmin = math.prod((abs(z0 - c) - abs(h)) ** k for c, k in self.roots)
-        pre = math.exp(pn.sum() / qmin) / qmin
+        # Past A = 709 the factor is inf, and no order meets the target.
+        lq = sum(k * math.log(abs(z0 - c) - abs(h)) for c, k in self.roots)
+        pre = np.exp(pn.sum() * np.exp(-lq) - lq)
         Ps, Qs = np.cumsum(pn[::-1])[::-1], np.cumsum(qa[::-1])[::-1] - qa
         # X[i + deg] = [Z_i; i Z_i], and G @ X[k : k + L] is the sum on the
         # right of the recurrence
@@ -224,8 +225,7 @@ def _check_tol(tol: float):
         raise InvalidArgument(f"tol must be positive, got {tol}")
 
 
-def _transport(rhs: _TaylorStepper, pieces, y0: np.ndarray, tol: float,
-               sings: list):
+def _transport(rhs: _TaylorStepper, pieces, y0: np.ndarray, tol: float):
     """(value at the end of the pieces, TransportDiagnostics).  Pieces are
     walked along chords no longer than a third of the distance to the
     nearest singular point.  A step's tail bound is at most tol times its
@@ -239,7 +239,7 @@ def _transport(rhs: _TaylorStepper, pieces, y0: np.ndarray, tol: float,
         speed, s = abs(piece.dz(0.0)), 0.0
         while s < 1.0:
             z = piece.z(s)
-            rho = min((abs(z - c) for c in sings), default=math.inf)
+            rho = min((abs(z - c) for c in rhs.sings), default=math.inf)
             if rho < _MIN_CLEARANCE:
                 raise SingularityTooClose(
                     f"path point {z} is within {rho:.2e} of a singular point")
@@ -263,7 +263,7 @@ def transport(conn: Connection, path, v0, tol: float = 1e-12) -> np.ndarray:
     conn.ensure_valid()
     pieces = [path] if isinstance(path, (Line, Arc)) else list(path)
     rhs = _TaylorStepper(conn)
-    return _transport(rhs, pieces, v0, tol, rhs.sings)[0]
+    return _transport(rhs, pieces, v0, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +311,7 @@ def monodromy_generators(conn: Connection, base=None, tol: float = 1e-12,
     n = conn.rank
     rhs = _TaylorStepper(conn)
     eye = np.eye(n, dtype=complex)
-    results = [_transport(rhs, loop, eye, tol, rhs.sings)
-               for loop in spec.loops]
+    results = [_transport(rhs, loop, eye, tol) for loop in spec.loops]
     Ts = [r[0] for r in results]
     diags = [r[1] for r in results]
     prod = eye.copy()
@@ -341,12 +340,22 @@ def _joint_line_search(Ts, n):
     """Best candidate for a common eigenvector: minimize the smallest
     singular value of the stacked matrices T_k - lambda_k I over all
     eigenvalue choices."""
+    eigs = [np.linalg.eigvals(T) for T in Ts]
     best = (math.inf, None)
-    for chosen in itertools.product(*[np.linalg.eigvals(T) for T in Ts]):
-        stacked = np.vstack([T - lam * np.eye(n) for T, lam in zip(Ts, chosen)])
-        _, s, vh = np.linalg.svd(stacked)
-        if s[-1] < best[0]:
-            best = (float(s[-1]), vh[-1].conj())
+    idx = [0] * len(Ts)
+
+    def rec(k, chosen):
+        nonlocal best
+        if k == len(Ts):
+            stacked = np.vstack([T - lam * np.eye(n) for T, lam in zip(Ts, chosen)])
+            _, s, vh = np.linalg.svd(stacked)
+            if s[-1] < best[0]:
+                best = (float(s[-1]), vh[-1].conj())
+            return
+        for lam in eigs[k]:
+            rec(k + 1, chosen + [lam])
+
+    rec(0, [])
     return best
 
 
@@ -448,7 +457,7 @@ def _dual_frame_at(conn: Connection, t0: complex, tol: float):
     along a straight segment."""
     rhs = _TaylorStepper(conn)
     T, diag = _transport(rhs, [Line(default_base(conn), t0)],
-                         np.eye(conn.rank, dtype=complex), tol, rhs.sings)
+                         np.eye(conn.rank, dtype=complex), tol)
     return np.linalg.inv(T).T, diag.tail_bound
 
 

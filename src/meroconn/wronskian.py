@@ -252,6 +252,7 @@ def cyclic_reduce(conn: Connection, section: Section) -> ScalarODE:
     with the given section."""
     return _reduce(conn, section)[1]
 
+
 def fuchs_check(ode: ScalarODE, points):
     """Per-point regularity test: the coefficient of y^(k) may have a pole
     of order at most order - k."""

@@ -147,6 +147,17 @@ class TestSubcommands:
         else:
             assert report["error"]
 
+    @pytest.mark.parametrize("argv", [["monodromy"], ["achieve", "--n", "2"]])
+    def test_huge_growth_bound_fails_cleanly(self, tmp_path, argv):
+        # M = R/(t(t-1)) with R = 3000: near 0 a step's growth factor e^A
+        # lies far beyond double range, so no order meets the tail target
+        path = tmp_path / "big.conn"
+        path.write_text("rank 1\nsplitting 0\npoint 0 order 1\n"
+                        "point 1 order 1\nmatrix\n3000/(t*(t-1))\nend\n")
+        code, report = run_command([argv[0], str(path), *argv[1:]])
+        assert code == 1
+        assert "no order up to" in report["error"]
+
 
 class TestArguments:
     @pytest.fixture()

@@ -115,6 +115,49 @@ class TestTransport:
                 assert abs(u1 @ v1 - u0 @ v0) < 1e-10
 
 
+def irregular_conn(k):
+    """Rank 1, M = 1/t^k on the divisor 0^k (irregular for k >= 2): the
+    flat sections y = C exp(1/((k-1) t^(k-1))) are single-valued."""
+    return Connection(SplittingType([0]), Divisor([(GaussRat(0), k)]),
+                      [[ONE / T ** k]])
+
+
+class TestIrregularPoint:
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+    def test_loop_generator_within_bound(self, k, tol):
+        # the base 1 puts the circle at radius 0.5; the generator is 1
+        report = monodromy_generators(irregular_conn(k), tol=tol,
+                                      with_verdict=False)
+        (gen,), (diag,) = report.matrices, report.diagnostics
+        assert diag.min_clearance == pytest.approx(0.5)
+        assert abs(gen[0, 0] - 1) <= diag.tail_bound + 1e-13
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("base", [0.4, 0.2, 0.1])
+    def test_small_loop_meets_bound_or_refuses(self, k, base):
+        # circles of radius base/2: as the radius shrinks the step's growth
+        # bound rises like radius^(1-k); past the order cap the stepper
+        # must refuse rather than return a generator outside its bound
+        try:
+            report = monodromy_generators(irregular_conn(k), base=base,
+                                          tol=1e-8, with_verdict=False)
+        except StepUnderflow:
+            return
+        (gen,), (diag,) = report.matrices, report.diagnostics
+        assert abs(gen[0, 0] - 1) <= diag.tail_bound + 1e-13
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the tail bound sums each step's truncation bound; an error made "
+        "early is not counted as the solution grows by e^9 after it"))
+    def test_line_into_growth_within_bound(self):
+        conn = irregular_conn(2)
+        stepper = monodromy_mod._TaylorStepper(conn)
+        y, diag = monodromy_mod._transport(stepper, [Line(1.0, 0.1)],
+                                           np.array([math.e]), 1e-8)
+        assert abs(y[0] - math.exp(10)) <= diag.tail_bound + 1e-13
+
+
 class TestMonodromyGenerators:
     def test_euler_minus_one(self):
         report = monodromy_generators(fixture("euler-half"), tol=1e-12)
