@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParseError, PoleOutsideAllowedSet, ZeroSection
+from .errors import (InvalidArgument, ParseError, PoleOutsideAllowedSet,
+                     ZeroSection)
 from .exactalg import (
     GaussRat,
     Poly,
@@ -21,6 +22,7 @@ from .exactalg import (
     _coerce,
     infinity_degree,
     parse_gaussrat,
+    rational_roots,
 )
 
 __all__ = [
@@ -90,9 +92,9 @@ class Divisor:
                 point = _coerce(point)
             order = int(order)
             if order < 1:
-                raise ValueError(f"divisor order must be >= 1, got {order}")
+                raise InvalidArgument(f"divisor order must be >= 1, got {order}")
             if point in seen if point is not INF else any(p is INF for p, _ in norm):
-                raise ValueError(f"duplicate divisor point {point}")
+                raise InvalidArgument(f"duplicate divisor point {point}")
             if point is not INF:
                 seen.add(point)
             norm.append((point, order))
@@ -160,7 +162,7 @@ class Section:
     def __init__(self, comps, splitting: SplittingType):
         comps = tuple(comps)
         if len(comps) != splitting.rank:
-            raise ValueError("component count does not match the rank")
+            raise InvalidArgument("component count does not match the rank")
         object.__setattr__(self, "comps", comps)
         object.__setattr__(self, "splitting", splitting)
 
@@ -193,13 +195,10 @@ class Section:
 def _finite_pole_points(r: RatFun):
     """Exact Gaussian-rational poles of r with orders, plus any residual
     denominator factor whose roots are not Gaussian-rational."""
-    from .exactalg import Poly, rational_roots
-
     den = r.den
     points = {}
-    for root, mult in rational_roots(den):
-        points[root] = mult
-        den = den // (Poly([-root, GaussRat(1)]) ** mult)
+    for root, _ in rational_roots(den):
+        points[root], den = den.split_root(root)
     return points, den
 
 

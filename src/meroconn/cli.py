@@ -22,8 +22,9 @@ import numpy as np
 from . import fixtures as fixtures_mod
 from .bundle import INF, Divisor, Section, SplittingType, parse_divisor
 from .connection import Connection, local_data
-from .errors import ParseError, ToolkitError, ValidationFailed
-from .exactalg import GaussRat, _root_factors, parse_gaussrat, parse_ratfun
+from .errors import (InvalidArgument, ParseError, ToolkitError,
+                     ValidationFailed)
+from .exactalg import _root_factors, parse_gaussrat, parse_ratfun
 from .monodromy import (_check_tol, _ode_residual, achieve_with_jet,
                         default_base, monodromy_generators)
 from .wronskian import (_apparent_report, _eliminate, _generation_cap, _reduce,
@@ -307,10 +308,18 @@ def _cmd_sample_h(args):
     }
 
 
+def _base_from_arg(args, default):
+    """--base as a complex number, or `default` when it is not given."""
+    try:
+        return complex(args.base) if args.base else default
+    except ValueError:
+        raise InvalidArgument(f"bad base point {args.base!r}")
+
+
 def _cmd_monodromy(args):
     conn, inputs = _load(args)
-    base = complex(args.base) if args.base else None
-    report = monodromy_generators(conn, base=base, tol=args.tol)
+    report = monodromy_generators(conn, base=_base_from_arg(args, None),
+                                  tol=args.tol)
     return 0, inputs, {
         "base": _cpx(report.base),
         "points": [_cpx(p) for p in report.points],
@@ -328,7 +337,7 @@ def _cmd_monodromy(args):
 def _cmd_achieve(args):
     conn, inputs = _load(args)
     E = _divisor_from_args(conn, args)
-    t0 = complex(args.base) if args.base else _default_probe(conn)
+    t0 = _base_from_arg(args, _default_probe(conn))
     section, jet = achieve_with_jet(conn, args.n, E, t0,
                                     dual_index=args.order, tol=args.tol)
     return 0, inputs, {

@@ -299,41 +299,28 @@ class Poly:
         """Coefficients of self in powers of (t - c) (Taylor shift)."""
         c = _coerce(c)
         out = []
-        r = list(self.coeffs)
+        r = self.coeffs
         while r:
-            # synthetic division by (t - c): Horner from the top coefficient
-            q = []
-            acc = ZERO
-            for a in reversed(r):
-                acc = acc * c + a
-                q.append(acc)
-            out.append(q[-1])  # remainder = value at c
-            r = list(reversed(q[:-1]))
+            r, value = _divide_linear(r, c)
+            out.append(value)
         return Poly(out)
 
-    def root_multiplicity(self, c) -> int:
-        """Multiplicity of c as a root (0 when p(c) != 0)."""
+    def split_root(self, c):
+        """(k, self / (t - c)^k) with k the multiplicity of c as a root (0
+        when p(c) != 0): one synthetic division per factor of (t - c)."""
         if self.is_zero():
             raise ZeroPolynomial("zero polynomial")
         c = _coerce(c)
-        m = 0
-        p = self
-        while not p.is_zero() and p.eval(c).is_zero():
-            p = p.deflate(c)
-            m += 1
-        return m
+        k, r = 0, self.coeffs
+        while True:
+            q, value = _divide_linear(r, c)
+            if not value.is_zero():
+                return k, Poly(r) if k else self
+            k, r = k + 1, q
 
-    def deflate(self, c) -> "Poly":
-        """Exact quotient by (t - c); requires p(c) = 0."""
-        c = _coerce(c)
-        q = []
-        acc = ZERO
-        for a in reversed(self.coeffs):
-            acc = acc * c + a
-            q.append(acc)
-        if not q or not q[-1].is_zero():
-            raise ValueError("deflation point is not a root")
-        return Poly(list(reversed(q[:-1])))
+    def root_multiplicity(self, c) -> int:
+        """Multiplicity of c as a root (0 when p(c) != 0)."""
+        return self.split_root(c)[0]
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -352,6 +339,17 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
+
+
+def _divide_linear(coeffs, c: GaussRat):
+    """(quotient coefficients, p(c)) of p / (t - c) for p with the given
+    non-empty coefficients, lowest first: one Horner pass from the top."""
+    acc = ZERO
+    q = []
+    for a in reversed(coeffs):
+        acc = acc * c + a
+        q.append(acc)
+    return q[-2::-1], q[-1]
 
 
 def gcd_poly(a: Poly, b: Poly) -> Poly:
@@ -549,11 +547,11 @@ def laurent_coefficients(r: RatFun, c, jmax: int) -> list:
     if r.is_zero():
         return [ZERO] * jmax
     c = _coerce(c)
-    k = r.den.root_multiplicity(c)
+    k, den = r.den.split_root(c)
     if k == 0:
         return [ZERO] * jmax
     num_s = list(r.num.shifted(c).coeffs)
-    den_s = list(r.den.shifted(c).coeffs)[k:]  # strip the s^k factor
+    den_s = list(den.shifted(c).coeffs)  # the s^k factor split off
     # r = (num_s / den_s) * s^(-k); need Taylor coeffs of num_s/den_s up to s^(k-1)
     taylor = _series_quotient(num_s or [ZERO], den_s, k)
     out = []
@@ -694,18 +692,22 @@ def max_zero_multiplicity(r: RatFun, excluded=()):
     """
     if r.is_zero():
         raise ZeroFunction("zero function has no zero multiplicities")
+    return _zero_profile(squarefree_decompose(r.num), excluded)
+
+
+def _zero_profile(factors, excluded):
+    """max_zero_multiplicity from the Yun factors (factor, mult) of the
+    numerator."""
     excluded = {_coerce(e) for e in excluded}
     profile = []
     best = 0
-    for factor, mult in squarefree_decompose(r.num):
-        if factor.deg == 1:
-            if linear_root(factor) in excluded:
-                continue
-        else:
-            if any(factor.eval(e).is_zero() for e in excluded):
-                raise MixedFactor(
-                    f"factor {factor} vanishes at an excluded point but has other roots"
-                )
+    for factor, mult in factors:
+        if factor.deg == 1 and linear_root(factor) in excluded:
+            continue
+        if factor.deg > 1 and any(factor.eval(e).is_zero() for e in excluded):
+            raise MixedFactor(
+                f"factor {factor} vanishes at an excluded point but has other roots"
+            )
         profile.append((factor, mult))
         best = max(best, mult)
     return best, profile

@@ -18,6 +18,7 @@ All numerics are double precision.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -96,9 +97,7 @@ def default_base(conn: Connection) -> complex:
 
 def loop_paths(conn: Connection, base: complex | None = None) -> PathSpec:
     sings = [c.to_complex() for c in conn.singular_points]
-    if base is None:
-        base = default_base(conn)
-    base = complex(base)
+    base = default_base(conn) if base is None else _as_complex(base)
     if any(abs(base - c) < 1e-12 for c in sings):
         raise SingularityTooClose("base point coincides with a singular point")
     order = sorted(range(len(sings)),
@@ -302,9 +301,8 @@ class MonodromyReport:
         raise KeyError(f"no generator at {c}")
 
 
-def monodromy_generators(conn: Connection, base=None, tol: float = 1e-12,
-                         trials: int = 20,
-                         with_verdict: bool = True) -> MonodromyReport:
+def monodromy_generators(conn: Connection, base=None,
+                         tol: float = 1e-12) -> MonodromyReport:
     """Transport the identity frame around each singular point."""
     conn.ensure_valid()
     spec = loop_paths(conn, base)
@@ -327,13 +325,12 @@ def monodromy_generators(conn: Connection, base=None, tol: float = 1e-12,
         want = cmath.exp(-2j * math.pi * residue(tr, c).to_complex())
         got = np.linalg.det(Ts[spec.points.index(c.to_complex())])
         det_defect = max(det_defect, float(abs(got - want) / abs(want)))
-    report = MonodromyReport(base=spec.base, points=spec.points, matrices=Ts,
-                             defect=defect, det_defect=det_defect,
-                             transport_error=sum(d.tail_bound for d in diags),
-                             diagnostics=diags)
-    if with_verdict:
-        report.irreducible = _verdict_from_generators(Ts, n, defect, trials)
-    return report
+    return MonodromyReport(
+        base=spec.base, points=spec.points, matrices=Ts, defect=defect,
+        det_defect=det_defect,
+        transport_error=sum(d.tail_bound for d in diags),
+        irreducible=_verdict_from_generators(Ts, n, defect),
+        diagnostics=diags)
 
 
 def _joint_line_search(Ts, n):
@@ -342,21 +339,17 @@ def _joint_line_search(Ts, n):
     eigenvalue choices."""
     eigs = [np.linalg.eigvals(T) for T in Ts]
     best = (math.inf, None)
-    idx = [0] * len(Ts)
-
-    def rec(k, chosen):
-        nonlocal best
-        if k == len(Ts):
-            stacked = np.vstack([T - lam * np.eye(n) for T, lam in zip(Ts, chosen)])
-            _, s, vh = np.linalg.svd(stacked)
-            if s[-1] < best[0]:
-                best = (float(s[-1]), vh[-1].conj())
-            return
-        for lam in eigs[k]:
-            rec(k + 1, chosen + [lam])
-
-    rec(0, [])
+    for chosen in itertools.product(*eigs):
+        stacked = np.vstack([T - lam * np.eye(n) for T, lam in zip(Ts, chosen)])
+        _, s, vh = np.linalg.svd(stacked)
+        if s[-1] < best[0]:
+            best = (float(s[-1]), vh[-1].conj())
     return best
+
+
+# the rank >= 4 verdict spans the orbits of this many seeded random vectors
+_ORBIT_TRIALS = 20
+_ORBIT_SEED = 0
 
 
 def _line_invariance_residual(Ts, v):
@@ -369,8 +362,7 @@ def _line_invariance_residual(Ts, v):
     return worst
 
 
-def _verdict_from_generators(Ts, n, defect, trials,
-                             seed=0) -> IrreducibilityVerdict:
+def _verdict_from_generators(Ts, n, defect) -> IrreducibilityVerdict:
     if n == 1:
         return IrreducibilityVerdict("irreducible", margin=math.inf)
     if not Ts:
@@ -397,8 +389,8 @@ def _verdict_from_generators(Ts, n, defect, trials,
         return IrreducibilityVerdict("inconclusive",
                                      margin=float(min(sigma_v, sigma_h)))
     # higher rank: randomized orbit spanning
-    rng = random.Random(seed)
-    for _ in range(max(1, trials)):
+    rng = random.Random(_ORBIT_SEED)
+    for _ in range(_ORBIT_TRIALS):
         v = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1))
                       for _ in range(n)])
         basis = [v / np.linalg.norm(v)]
@@ -431,12 +423,11 @@ def _verdict_from_generators(Ts, n, defect, trials,
     return IrreducibilityVerdict("irreducible", margin=1.0)
 
 
-def irreducibility_check(conn: Connection, tol: float = 1e-12,
-                         trials: int = 20) -> IrreducibilityVerdict:
+def irreducibility_check(conn: Connection,
+                         tol: float = 1e-12) -> IrreducibilityVerdict:
     """Search for a monodromy-invariant subspace; honest 'inconclusive'
     when the numerical margins are thin."""
-    report = monodromy_generators(conn, tol=tol, trials=trials)
-    return report.irreducible
+    return monodromy_generators(conn, tol=tol).irreducible
 
 
 # ---------------------------------------------------------------------------
@@ -467,9 +458,10 @@ def _pairings(U: np.ndarray, its, z0: complex) -> np.ndarray:
 
 
 def _as_complex(t0) -> complex:
-    if isinstance(t0, GaussRat):
-        return t0.to_complex()
-    return complex(t0)
+    z = t0.to_complex() if isinstance(t0, GaussRat) else complex(t0)
+    if not cmath.isfinite(z):
+        raise InvalidArgument(f"point {t0} is not finite")
+    return z
 
 
 def period_jet(conn: Connection, section: Section, t0, depth: int,

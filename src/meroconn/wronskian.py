@@ -24,21 +24,21 @@ from .bundle import (
 from .connection import Connection, covariant_derivative
 from .errors import (
     DegenerateSection,
+    InvalidArgument,
     NotCyclic,
     SingularEvaluationPoint,
     ZeroSection,
 )
 from .exactalg import (
     GaussRat,
-    Poly,
     RatFun,
     _back_substitute,
     _coerce,
     _pivot_product,
     _root_factors,
     _row_echelon,
+    _zero_profile,
     det_ratfun,
-    linear_root,
     max_zero_multiplicity,
     rational_roots,
     residue,
@@ -75,7 +75,7 @@ class ScalarODE:
 def iterated(conn: Connection, section: Section, k: int):
     """[omega, grad omega, ..., grad^k omega]."""
     if k < 0:
-        raise ValueError("k must be >= 0")
+        raise InvalidArgument(f"k must be >= 0, got {k}")
     out = [section]
     for _ in range(k):
         out.append(covariant_derivative(conn, out[-1]))
@@ -101,7 +101,7 @@ def h_bound(conn: Connection, n: int) -> int:
     """Upper bound for the generation number of degree-n sections of an
     irreducible connection."""
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise InvalidArgument(f"n must be >= 0, got {n}")
     alpha = conn.rank
     total_m = sum(m for _, m in conn.divisor.finite_entries())
     return ((alpha - 1) * total_m + alpha * (n + 1)
@@ -180,9 +180,11 @@ def estimate_H(conn: Connection, n: int, E: Divisor, samples: int,
     given seed (zero draws rejected).
     """
     conn.ensure_valid()
-    if E.degree > n:
-        raise ValueError("the twisting divisor degree must be at most n")
     bound = h_bound(conn, n)
+    if E.degree > n:
+        raise InvalidArgument("the twisting divisor degree must be at most n")
+    if samples < 0:
+        raise InvalidArgument(f"samples must be >= 0, got {samples}")
     alpha = conn.rank
     basis = section_space_basis(conn.splitting, E)
     span = spanning_sections(conn, E)
@@ -213,9 +215,11 @@ def estimate_H(conn: Connection, n: int, E: Divisor, samples: int,
             continue
         # the iterates and the cap serve every rational zero off the
         # singular set; the cap is taken only when there is such a zero,
-        # since max_zero_multiplicity may refuse the Wronskian (MixedFactor)
-        roots = [b for b, _ in rational_roots(a.num) if b not in sing]
-        cap = _generation_cap(conn, a) if roots else 0
+        # since _zero_profile may refuse the Wronskian (MixedFactor)
+        factors = _root_factors(a.num)
+        roots = [b for _, _, rs in factors for b in rs if b not in sing]
+        cap = (_zero_profile([(f, m) for f, m, _ in factors], sing)[0]
+               + alpha if roots else 0)
         observed = max((_index_at(conn, its, b, cap) for b in roots),
                        default=alpha)
         if observed > max_observed:
@@ -338,7 +342,7 @@ def _apparent_report(conn: Connection, ode: ScalarODE,
     records = []
     for factor, mult, roots in factors:
         for root in roots:
-            factor = factor // Poly([-root, GaussRat(1)])
+            _, factor = factor.split_root(root)
             if root in sing:
                 continue
             res = residue(p1, root)

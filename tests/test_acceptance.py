@@ -117,8 +117,7 @@ def test_criterion_04_cyclic_identity():
 
 
 def test_criterion_05_euler_monodromy():
-    report = monodromy_generators(fixture("euler-half"), tol=1e-12,
-                                  with_verdict=False)
+    report = monodromy_generators(fixture("euler-half"), tol=1e-12)
     ok = all(abs(T[0, 0] + 1.0) < 1e-9 for T in report.matrices) \
         and report.defect < 1e-8
     _line(5, "Euler generators equal -1, loop product trivial", ok)
@@ -126,8 +125,7 @@ def test_criterion_05_euler_monodromy():
 
 
 def test_criterion_06_local_global_match():
-    diag = monodromy_generators(fixture("triangle-diag"), tol=1e-12,
-                                with_verdict=False)
+    diag = monodromy_generators(fixture("triangle-diag"), tol=1e-12)
     t0 = diag.generator(0.0)
     eig = sorted(np.linalg.eigvals(t0), key=lambda z: z.imag)
     diag_ok = abs(eig[0] - (-1j)) < 1e-6 and abs(eig[1] - 1j) < 1e-6
@@ -140,7 +138,7 @@ def test_criterion_06_local_global_match():
     # Traces rather than eigenvalues are compared: these generators can be
     # Jordan blocks, whose computed eigenvalues lose half the digits.
     conn = fixture("triangle-nilpotent")
-    nilp = monodromy_generators(conn, tol=1e-12, with_verdict=False)
+    nilp = monodromy_generators(conn, tol=1e-12)
     predicted = [sum(cmath.exp(-2j * math.pi * mu)
                      for mu in local_data(conn, c).exponents)
                  for c in conn.singular_points]
@@ -215,7 +213,7 @@ def test_criterion_10_reducibility_witness():
     witness_ok = red.kind == "reducible" and red.witness is not None
     if witness_ok:
         report = monodromy_generators(fixture("two-point-reducible"),
-                                      tol=1e-12, with_verdict=False)
+                                      tol=1e-12)
         v = np.asarray(red.witness, dtype=complex).ravel()
         v = v / np.linalg.norm(v)
         mats = report.matrices

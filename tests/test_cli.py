@@ -207,6 +207,28 @@ class TestArguments:
                                           f"--tol={tol}"])
         assert "tol must be positive" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sample-h", "--pole-divisor", "0^0"], "order must be >= 1"),
+        (["sample-h", "--pole-divisor", "0^1,0^1"], "duplicate divisor point"),
+        (["sample-h", "--n", "1", "--pole-divisor", "0^3"], "at most n"),
+        (["sample-h", "--n", "-1"], "n must be >= 0"),
+        (["sample-h", "--n", "1", "--samples", "-1"], "samples must be >= 0"),
+        (["bound", "--n", "-2"], "n must be >= 0"),
+        (["derive", "--order", "-1"], "k must be >= 0"),
+        (["wronskian", "--section=1,2,3"], "component count"),
+        (["ode", "--section=1,2,3"], "component count"),
+        (["monodromy", "--base", "nan"], "not finite"),
+        (["monodromy", "--base", "inf"], "not finite"),
+        (["monodromy", "--base", "one"], "bad base point"),
+        (["achieve", "--n", "1", "--base", "nan"], "not finite"),
+        (["achieve", "--n", "1", "--base", "inf+1j"], "not finite"),
+    ])
+    def test_out_of_range_argument_is_domain_error(self, files, capsys, argv,
+                                                   message):
+        err = self._domain_error(capsys, [argv[0], str(files / "tri.conn"),
+                                          *argv[1:]])
+        assert message in err
+
     @pytest.mark.parametrize("argv", [["validate", "--tol", "1e-3"],
                                       ["wronskian", "--seed", "1"],
                                       ["bound", "--section=1"],

@@ -19,13 +19,17 @@ from meroconn import (
     det_connection,
     dual_connection,
     fixture,
+    fixture_names,
+    infinity_degree,
     local_data,
     pole_profile,
     residue,
+    validate,
 )
 from meroconn.errors import NotASingularPoint
 from helpers import (
     lin,
+    rand_fraction,
     random_connection,
     random_poly_section,
     random_rank1_connection,
@@ -82,6 +86,114 @@ class TestValidate:
             total = sum((residue(conn.trace(), c)
                          for c in conn.singular_points), GaussRat(0))
             assert total == GaussRat(-chern(conn.splitting))
+
+
+def _twisted_frame_validate(conn):
+    """Validation by the twisted-frame matrix N_ki = M_ki t^(a_i - a_k) +
+    (a_i / t) delta_ki, built entry by entry: the reference for the degree
+    arithmetic of validate."""
+    violations = []
+    for i, row in enumerate(conn.matrix):
+        for j, entry in enumerate(row):
+            if entry.is_zero():
+                continue
+            den = entry.den
+            for c, m in conn.divisor.finite_entries():
+                k = den.root_multiplicity(c)
+                if k > m:
+                    violations.append(
+                        f"entry ({i},{j}) has pole order {k} > {m} at t={c}")
+                den = den // (Poly([-c, GaussRat(1)]) ** k)
+            if den.deg > 0:
+                violations.append(f"entry ({i},{j}) has poles outside the "
+                                  f"divisor (factor {den})")
+    a = conn.splitting.twists
+    for k in range(conn.rank):
+        for i in range(conn.rank):
+            entry = conn.matrix[k][i] * T ** (a[i] - a[k])
+            if i == k and a[i] != 0:
+                entry = entry + RatFun.const(a[i]) / T
+            if not entry.is_zero() and infinity_degree(entry) > -2:
+                violations.append(
+                    f"infinity condition fails for entry ({k},{i}): "
+                    f"twisted degree {infinity_degree(entry)} > -2")
+    warnings = ([] if conn.divisor.entries else
+                ["empty pole divisor: monodromy is necessarily trivial"])
+    if not violations:
+        total = sum((residue(conn.trace(), c) for c in conn.singular_points),
+                    GaussRat(0))
+        if total != GaussRat(-chern(conn.splitting)):
+            violations.append(
+                f"residue sum {total} != -c(V) = {-chern(conn.splitting)}")
+    return not violations, violations, warnings
+
+
+def _random_pole_connection(rng):
+    """Rank 1-3, twists in -2..2, poles of order 1-3 on the divisor and
+    entries whose poles may exceed it, lie off it, grow at infinity or, on
+    the diagonal, cancel the twist's a_k / t."""
+    rank = rng.randint(1, 3)
+    twists = [rng.randint(-2, 2) for _ in range(rank)]
+    pool = [GaussRat(c) for c in range(-2, 4)] + [GaussRat(1, 1)]
+    points = rng.sample(pool, rng.randint(1, 3))
+    divisor = Divisor([(c, rng.randint(1, 3)) for c in points])
+    orders = dict(divisor.finite_entries())
+
+    def over(c, j=1):
+        return RatFun(Poly.const(1), Poly.from_roots([c] * j))
+
+    def term():
+        if rng.random() < 0.1:
+            c, j = GaussRat(rng.randint(4, 6)), 1            # off the divisor
+        else:
+            c = rng.choice(points)
+            j = rng.randint(1, orders[c] + (rng.random() < 0.15))
+        power = rng.choice([0, 0, 0, 1, 2])                # growth at infinity
+        return RatFun.const(GaussRat(rand_fraction(rng))) * T ** power * over(c, j)
+
+    matrix = []
+    for k in range(rank):
+        row = []
+        for i in range(rank):
+            entry = ZERO
+            if rng.random() < 0.7:
+                for _ in range(rng.randint(1, 2)):
+                    entry = entry + term()
+            if i == k and twists[k] and rng.random() < 0.5:
+                entry = entry - RatFun.const(twists[k]) * over(rng.choice(points))
+            row.append(entry)
+        matrix.append(row)
+    return Connection(SplittingType(twists), divisor, matrix)
+
+
+class TestValidateAgainstTwistedFrame:
+    def test_matches_reference(self):
+        rng = rng_for("twisted-frame")
+        conns = [_random_pole_connection(rng) for _ in range(150)]
+        conns += [fixture(name) for name in fixture_names()]
+        conns += [random_rank1_connection(rng, twist=rng.randint(-2, 2))
+                  for _ in range(10)]
+        valid = 0
+        for conn in conns:
+            report = validate(conn)
+            got = (report.ok, report.violations, report.warnings)
+            assert got == _twisted_frame_validate(conn)
+            valid += report.ok
+        assert valid >= 20
+
+    def test_trace_formed_once(self, monkeypatch):
+        calls = []
+        trace = Connection.trace
+
+        def counted(self):
+            calls.append(self)
+            return trace(self)
+
+        conn = fixture("triangle-diag")
+        assert len(conn.singular_points) > 1
+        monkeypatch.setattr(Connection, "trace", counted)
+        assert validate(conn).ok
+        assert calls == [conn]
 
 
 class TestCovariantDerivative:

@@ -72,6 +72,24 @@ class TestSquarefree:
             squarefree_decompose(Poly([]))
 
 
+class TestSplitRoot:
+    def test_gaussian_root(self):
+        c = GaussRat(Fraction(1, 3), -2)
+        rest = Poly([GaussRat(5), GaussRat(0), GaussRat(1)])  # t^2 + 5
+        assert (Poly([-c, GaussRat(1)]) ** 3 * rest).split_root(c) == (3, rest)
+
+    def test_not_a_root(self):
+        p = Poly.from_roots([1, 2])
+        assert p.split_root(3) == (0, p)
+        assert Poly.const(7).split_root(0) == (0, Poly.const(7))
+
+    def test_zero_rejected(self):
+        with pytest.raises(ZeroPolynomial):
+            Poly([]).split_root(0)
+        with pytest.raises(ZeroPolynomial):
+            Poly([]).root_multiplicity(0)
+
+
 # ---------------------------------------------------------------------------
 # valuation, degrees, residues
 # ---------------------------------------------------------------------------
@@ -214,6 +232,27 @@ def test_squarefree_reexpansion(p, q):
     assert expand(got).monic() == prod.monic()
     for f, _ in got:
         assert f.deg >= 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_int, st.integers(min_value=0, max_value=4), roots,
+       small_int.filter(bool))
+def test_split_root_against_from_roots(c, k, others, lead):
+    others = [r for r in others if r != c]
+    cofactor = Poly.from_roots(others) * lead
+    p = Poly.from_roots([c] * k) * cofactor
+    assert p.split_root(c) == (k, cofactor)
+    assert p.root_multiplicity(c) == k
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_poly, small_int)
+def test_shifted_re_expands(p, c):
+    s = Poly([-GaussRat(c), GaussRat(1)])
+    back = Poly()
+    for j, a in enumerate(p.shifted(c).coeffs):
+        back = back + s ** j * a
+    assert back == p
 
 
 @settings(max_examples=40, deadline=None)

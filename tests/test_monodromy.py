@@ -127,8 +127,7 @@ class TestIrregularPoint:
     @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
     def test_loop_generator_within_bound(self, k, tol):
         # the base 1 puts the circle at radius 0.5; the generator is 1
-        report = monodromy_generators(irregular_conn(k), tol=tol,
-                                      with_verdict=False)
+        report = monodromy_generators(irregular_conn(k), tol=tol)
         (gen,), (diag,) = report.matrices, report.diagnostics
         assert diag.min_clearance == pytest.approx(0.5)
         assert abs(gen[0, 0] - 1) <= diag.tail_bound + 1e-13
@@ -141,7 +140,7 @@ class TestIrregularPoint:
         # must refuse rather than return a generator outside its bound
         try:
             report = monodromy_generators(irregular_conn(k), base=base,
-                                          tol=1e-8, with_verdict=False)
+                                          tol=1e-8)
         except StepUnderflow:
             return
         (gen,), (diag,) = report.matrices, report.diagnostics
@@ -168,8 +167,7 @@ class TestMonodromyGenerators:
     def test_loop_product_defect_all_fixtures(self):
         for name in ("euler-half", "triangle-nilpotent", "triangle-diag",
                      "two-point-reducible"):
-            report = monodromy_generators(fixture(name), tol=1e-12,
-                                          with_verdict=False)
+            report = monodromy_generators(fixture(name), tol=1e-12)
             assert report.defect < 1e-8, name
             assert report.det_defect < 1e-8, name
 
@@ -177,7 +175,7 @@ class TestMonodromyGenerators:
         # simple poles, non-resonant residue: eigenvalues of T_c equal
         # exp(-2 pi i * exponents)
         conn = fixture("triangle-diag")
-        report = monodromy_generators(conn, tol=1e-12, with_verdict=False)
+        report = monodromy_generators(conn, tol=1e-12)
         for c in conn.singular_points:
             exps = local_data(conn, c).exponents
             want = sorted(
@@ -199,7 +197,7 @@ class TestIrreducibility:
         assert verdict.witness is not None
         # verify the witness invariance directly
         report = monodromy_generators(fixture("two-point-reducible"),
-                                      tol=1e-12, with_verdict=False)
+                                      tol=1e-12)
         v = np.asarray(verdict.witness, dtype=complex).ravel()
         v = v / np.linalg.norm(v)
         mats = report.matrices
@@ -401,8 +399,7 @@ class TestTaylorOracle:
 
     @staticmethod
     def _errors(name, oracle, tol):
-        report = monodromy_generators(fixture(name), tol=tol,
-                                      with_verdict=False)
+        report = monodromy_generators(fixture(name), tol=tol)
         errs = [float(np.max(np.abs(T - ref)))
                 for T, ref in zip(report.matrices, oracle[name])]
         return errs, report

@@ -412,6 +412,30 @@ class TestDerivedOnce:
         assert report.max_observed_generation > conn.rank
         assert counts["det_ratfun"] == 10
 
+    def test_estimate_h_decomposes_each_numerator_once(self, monkeypatch):
+        decomposed, numerators = [], []
+        decompose = exactalg_mod.squarefree_decompose
+        det = wronskian_mod.det_ratfun
+
+        def counted_decompose(p):
+            decomposed.append(p)
+            return decompose(p)
+
+        def recorded_det(A):
+            a = det(A)
+            numerators.append(a.num)
+            return a
+
+        monkeypatch.setattr(exactalg_mod, "squarefree_decompose",
+                            counted_decompose)
+        monkeypatch.setattr(wronskian_mod, "det_ratfun", recorded_det)
+        conn = fixture("triangle-diag")
+        report = estimate_H(conn, 2, parse_divisor("inf^2"), 10, seed=1)
+        # some samples have rational zeros off the singular set, where the
+        # generation cap reads the zero multiplicities as well
+        assert report.max_observed_generation > conn.rank
+        assert decomposed == numerators
+
     def test_ode_derives_rank_iterates(self, counts, tri):
         # the scalar equation and the period jet share grad^0 w ... grad^2 w
         code, report = run_command(["ode", tri, "--section=t^2+1,t-3"])
