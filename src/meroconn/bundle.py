@@ -93,10 +93,9 @@ class Divisor:
             order = int(order)
             if order < 1:
                 raise InvalidArgument(f"divisor order must be >= 1, got {order}")
-            if point in seen if point is not INF else any(p is INF for p, _ in norm):
+            if point in seen:
                 raise InvalidArgument(f"duplicate divisor point {point}")
-            if point is not INF:
-                seen.add(point)
+            seen.add(point)
             norm.append((point, order))
         self.entries = tuple(norm)
 
@@ -110,18 +109,13 @@ class Divisor:
     def order_at(self, point) -> int:
         if point is not INF:
             point = _coerce(point)
-        for p, o in self.entries:
-            if (p is INF and point is INF) or (p is not INF and point is not INF and p == point):
-                return o
-        return 0
+        return dict(self.entries).get(point, 0)
 
     def finite_support(self):
         return [p for p, _ in self.entries if p is not INF]
 
     def __eq__(self, other):
-        return isinstance(other, Divisor) and set(
-            (repr(p) if p is INF else p, o) for p, o in self.entries
-        ) == set((repr(p) if p is INF else p, o) for p, o in other.entries)
+        return isinstance(other, Divisor) and set(self.entries) == set(other.entries)
 
     def __repr__(self):
         return "Divisor(" + ", ".join(f"{p}^{o}" for p, o in self.entries) + ")"

@@ -27,11 +27,11 @@ from .errors import (InvalidArgument, ParseError, ToolkitError,
 from .exactalg import _root_factors, parse_gaussrat, parse_ratfun
 from .monodromy import (_check_tol, _ode_residual, achieve_with_jet,
                         default_base, monodromy_generators)
-from .wronskian import (_apparent_report, _eliminate, _generation_cap, _reduce,
-                        _residue_records, estimate_H, fuchs_check, h_bound,
-                        iterated, wronskian_determinant)
+from .wronskian import (_apparent_report, _check_twist, _eliminate,
+                        _generation_cap, _reduce, _residue_records, estimate_H,
+                        fuchs_check, h_bound, iterated, wronskian_determinant)
 
-__all__ = ["parse_connection_file", "run_command", "main"]
+__all__ = ["parse_connection_file", "main"]
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +337,10 @@ def _cmd_monodromy(args):
 def _cmd_achieve(args):
     conn, inputs = _load(args)
     E = _divisor_from_args(conn, args)
+    _check_twist(args.n, E)
     t0 = _base_from_arg(args, _default_probe(conn))
-    section, jet = achieve_with_jet(conn, args.n, E, t0,
-                                    dual_index=args.order, tol=args.tol)
+    section, jet = achieve_with_jet(conn, E, t0, dual_index=args.order,
+                                    tol=args.tol)
     return 0, inputs, {
         "n": args.n,
         "twist_divisor": str(E),
@@ -409,44 +410,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _execute(args, argv):
-    started = time.monotonic()
-    try:
-        code, inputs, results = args.func(args)
-    except ValidationFailed as exc:
-        report = {
-            "command": list(argv),
-            "error": "validation failed",
-            "violations": exc.report.violations,
-        }
-        return 1, report
-    except ToolkitError as exc:
-        return 1, {"command": list(argv), "error": str(exc)}
-    finally:
-        elapsed = time.monotonic() - started
-        print(f"wall time: {elapsed:.3f}s", file=sys.stderr)
-    report = {
-        "command": list(argv),
-        "inputs": inputs,
-        "seed": getattr(args, "seed", None),
-        "tolerances": {"tol": getattr(args, "tol", None)},
-        "results": results,
-    }
-    return code, report
-
-
-def run_command(argv):
-    """Run one subcommand; returns (exit_code, run_report_dict)."""
-    return _execute(_build_parser().parse_args(argv), argv)
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse usage errors
         return 2 if exc.code not in (0, None) else 0
-    code, report = _execute(args, argv)
+    started = time.monotonic()
+    try:
+        code, inputs, results = args.func(args)
+        report = {
+            "command": argv,
+            "inputs": inputs,
+            "seed": getattr(args, "seed", None),
+            "tolerances": {"tol": getattr(args, "tol", None)},
+            "results": results,
+        }
+    except ValidationFailed as exc:
+        code, report = 1, {
+            "command": argv,
+            "error": "validation failed",
+            "violations": exc.report.violations,
+        }
+    except ToolkitError as exc:
+        code, report = 1, {"command": argv, "error": str(exc)}
+    finally:
+        elapsed = time.monotonic() - started
+        print(f"wall time: {elapsed:.3f}s", file=sys.stderr)
     _emit(report, args.format)
     return code
 

@@ -8,89 +8,13 @@ irreducible rank-2 fixtures carry three singular points.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .bundle import Divisor, SplittingType
 from .connection import Connection
-from .exactalg import GaussRat, Poly, RatFun
 
-__all__ = ["FIXTURES", "fixture", "fixture_file", "fixture_names"]
+__all__ = ["fixture", "fixture_file", "fixture_names"]
 
-
-def _lin(c) -> RatFun:
-    """(t - c) as a rational function."""
-    return RatFun(Poly([-GaussRat(c), GaussRat(1)]))
-
-
-def _euler_half() -> Connection:
-    t = RatFun.t()
-    m = RatFun.const(Fraction(1, 2)) / (t * (t - RatFun.const(1)))
-    return Connection(
-        SplittingType([0]),
-        Divisor([(GaussRat(0), 1), (GaussRat(1), 1)]),
-        [[m]],
-    )
-
-
-def _residue_sum(ks):
-    """Matrix M = sum K_c / (t - c) for {c: K_c}."""
-    rows = len(next(iter(ks.values())))
-    entries = [[RatFun.const(0)] * rows for _ in range(rows)]
-    for c, K in ks.items():
-        lin = _lin(c)
-        for i in range(rows):
-            for j in range(rows):
-                if K[i][j]:
-                    entries[i][j] = entries[i][j] + RatFun.const(K[i][j]) / lin
-    return entries
-
-
-def _triangle(k0, k1) -> Connection:
-    k2 = [[-(k0[i][j] + k1[i][j]) for j in range(2)] for i in range(2)]
-    mat = _residue_sum({0: k0, 1: k1, 2: k2})
-    return Connection(
-        SplittingType([0, 0]),
-        Divisor([(GaussRat(0), 1), (GaussRat(1), 1), (GaussRat(2), 1)]),
-        mat,
-    )
-
-
-def _triangle_nilpotent() -> Connection:
-    return _triangle(
-        [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]],
-        [[Fraction(0), Fraction(0)], [Fraction(1, 4), Fraction(0)]],
-    )
-
-
-def _triangle_diag() -> Connection:
-    # the 1/16 entry makes the exponents at t=2 equal to +-sqrt(2)/4, so no
-    # choice of local exponents sums to an integer and the monodromy is
-    # irreducible (a rational choice such as 1/9 would give 1/4+1/3+5/12 = 1)
-    return _triangle(
-        [[Fraction(1, 4), Fraction(0)], [Fraction(0), Fraction(-1, 4)]],
-        [[Fraction(0), Fraction(1)], [Fraction(1, 16), Fraction(0)]],
-    )
-
-
-def _two_point_reducible() -> Connection:
-    t = RatFun.t()
-    den = t * (t - RatFun.const(1))
-    K = [[Fraction(0), Fraction(1)], [Fraction(1, 4), Fraction(0)]]
-    mat = [[RatFun.const(K[i][j]) / den for j in range(2)] for i in range(2)]
-    return Connection(
-        SplittingType([0, 0]),
-        Divisor([(GaussRat(0), 1), (GaussRat(1), 1)]),
-        mat,
-    )
-
-
-FIXTURES = {
-    "euler-half": _euler_half,
-    "triangle-nilpotent": _triangle_nilpotent,
-    "triangle-diag": _triangle_diag,
-    "two-point-reducible": _two_point_reducible,
-}
-
+# Each fixture is defined once, by its connection-file text below: the CLI,
+# `fixtures emit` and `fixture()` all read it.  Run reports hash these
+# bytes, so any edit to a text changes every report's sha256.
 _FILES = {
     "euler-half": """\
 # rank-1 connection with simple poles at 0 and 1
@@ -102,6 +26,9 @@ matrix
 1/(2*t*(t-1))
 end
 """,
+    # residues K_0 = [[0, 1], [0, 0]] at 0, K_1 = [[0, 0], [1/4, 0]] at 1 and
+    # K_2 = -(K_0 + K_1) at 2: they sum to zero, as holomorphy at infinity
+    # with trivial splitting requires
     "triangle-nilpotent": """\
 # rank-2 logarithmic connection, nilpotent residues at 0 and 1
 rank 2
@@ -114,6 +41,11 @@ matrix
 1/(4*(t-1))-1/(4*(t-2)) 0
 end
 """,
+    # residues K_0 = diag(1/4, -1/4), K_1 = [[0, 1], [1/16, 0]] and
+    # K_2 = -(K_0 + K_1).  The 1/16 entry makes the exponents at t=2 equal to
+    # +-sqrt(2)/4, so no choice of local exponents sums to an integer and the
+    # monodromy is irreducible (a rational choice such as 1/9 would give
+    # 1/4+1/3+5/12 = 1)
     "triangle-diag": """\
 # rank-2 logarithmic connection, diagonal residue at 0
 rank 2
@@ -126,6 +58,7 @@ matrix
 1/(16*(t-1))-1/(16*(t-2)) -1/(4*t)+1/(4*(t-2))
 end
 """,
+    # K/(t(t-1)) with K = [[0, 1], [1/4, 0]]: residue -K at 0 and K at 1
     "two-point-reducible": """\
 # rank-2 connection with two singular points: cyclic, hence reducible, monodromy
 rank 2
@@ -141,16 +74,13 @@ end
 
 
 def fixture_names():
-    return sorted(FIXTURES)
+    return sorted(_FILES)
 
 
 def fixture(name: str) -> Connection:
-    try:
-        conn = FIXTURES[name]()
-    except KeyError:
-        raise KeyError(f"unknown fixture {name!r}; known: {', '.join(fixture_names())}")
-    conn.ensure_valid()
-    return conn
+    """The shipped fixture `name`, parsed from its file and validated."""
+    from .cli import parse_connection_file   # cli imports this module
+    return parse_connection_file(fixture_file(name))
 
 
 def fixture_file(name: str) -> str:

@@ -494,7 +494,7 @@ def _ode_residual(conn: Connection, its: list, ode: ScalarODE, t0,
     return float(np.max(np.abs(top))) / (1.0 + float(np.max(np.abs(jet))))
 
 
-def achieve_with_jet(conn: Connection, n: int, E: Divisor, t0,
+def achieve_with_jet(conn: Connection, E: Divisor, t0,
                      dual_index: int = 0,
                      tol: float = 1e-12) -> tuple[Section, PeriodJet]:
     """Constructive high-multiplicity section: a kernel combination of the
@@ -556,7 +556,7 @@ def achieve_with_jet(conn: Connection, n: int, E: Divisor, t0,
     return section, PeriodJet(base=z0, depth=d, jet=jet, transport_error=err)
 
 
-def achieve_multiplicity(conn: Connection, n: int, E: Divisor, t0,
+def achieve_multiplicity(conn: Connection, E: Divisor, t0,
                          dual_index: int = 0, tol: float = 1e-12) -> Section:
     """The section of ``achieve_with_jet``, without its jet."""
-    return achieve_with_jet(conn, n, E, t0, dual_index, tol)[0]
+    return achieve_with_jet(conn, E, t0, dual_index, tol)[0]

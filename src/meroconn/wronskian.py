@@ -108,6 +108,14 @@ def h_bound(conn: Connection, n: int) -> int:
             - alpha * (alpha - 1) // 2 + chern(conn.splitting))
 
 
+def _check_twist(n: int, E: Divisor):
+    """Refuse a negative n and a twisting divisor of degree above n."""
+    if n < 0:
+        raise InvalidArgument(f"n must be >= 0, got {n}")
+    if E.degree > n:
+        raise InvalidArgument("the twisting divisor degree must be at most n")
+
+
 def _generation_cap(conn: Connection, a: RatFun) -> int:
     """generation_bound from the section's Wronskian a."""
     if a.is_zero():
@@ -180,9 +188,8 @@ def estimate_H(conn: Connection, n: int, E: Divisor, samples: int,
     given seed (zero draws rejected).
     """
     conn.ensure_valid()
+    _check_twist(n, E)
     bound = h_bound(conn, n)
-    if E.degree > n:
-        raise InvalidArgument("the twisting divisor degree must be at most n")
     if samples < 0:
         raise InvalidArgument(f"samples must be >= 0, got {samples}")
     alpha = conn.rank

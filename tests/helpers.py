@@ -1,5 +1,9 @@
-"""Seeded random generators shared across the test modules."""
+"""Seeded random generators and an in-process CLI runner shared across the
+test modules."""
 
+import contextlib
+import io
+import json
 import random
 import zlib
 from fractions import Fraction
@@ -13,8 +17,18 @@ from meroconn import (
     Section,
     SplittingType,
 )
+from meroconn.cli import main
 
 ZERO = GaussRat(0)
+
+
+def run_json(argv):
+    """Run one CLI subcommand in process with JSON output; returns
+    (exit code, parsed report)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["--format", "json", *argv])
+    return code, json.loads(out.getvalue())
 
 
 def rand_gauss(rng, lo=-9, hi=9, nonzero=False):

@@ -52,6 +52,18 @@ class TestDivisor:
         with pytest.raises(ValueError):
             Divisor([(GaussRat(0), 1), (GaussRat(0), 2)])
 
+    def test_infinity_mixed_with_finite_points(self):
+        d = Divisor([(GaussRat(0), 1), (INF, 2), (GaussRat(1, 1), 3)])
+        assert d == Divisor([(INF, 2), (GaussRat(1, 1), 3), (GaussRat(0), 1)])
+        assert d != Divisor([(INF, 3), (GaussRat(1, 1), 3), (GaussRat(0), 1)])
+        assert d.order_at(INF) == 2
+        assert d.order_at(GaussRat(1, 1)) == 3
+        assert d.order_at(0) == 1
+        assert d.order_at(GaussRat(2)) == 0
+        assert Divisor([(GaussRat(0), 1)]).order_at(INF) == 0
+        with pytest.raises(ValueError, match="duplicate"):
+            Divisor([(INF, 1), (GaussRat(0), 1), (INF, 2)])
+
     def test_nonpositive_order_rejected(self):
         with pytest.raises(ValueError):
             Divisor([(GaussRat(0), 0)])

@@ -8,9 +8,10 @@ import time
 
 import pytest
 
-from meroconn import fixture_file, fixture_names
-from meroconn.cli import main, parse_connection_file, run_command
+from meroconn import fixture, fixture_file, fixture_names
+from meroconn.cli import main, parse_connection_file
 from meroconn.errors import ParseError, ValidationFailed
+from helpers import run_json
 
 
 def run_cli(args, cwd=None):
@@ -23,6 +24,13 @@ class TestParseConnectionFile:
         for name in fixture_names():
             conn = parse_connection_file(fixture_file(name))
             assert conn.validate().ok
+
+    @pytest.mark.parametrize("get", [fixture, fixture_file])
+    def test_unknown_fixture_name(self, get):
+        with pytest.raises(KeyError, match="unknown fixture 'nope'; known: "
+                           "euler-half, triangle-diag, triangle-nilpotent, "
+                           "two-point-reducible"):
+            get("nope")
 
     def test_euler_shape(self):
         conn = parse_connection_file(fixture_file("euler-half"))
@@ -72,32 +80,32 @@ class TestSubcommands:
         return str(path)
 
     def test_bound(self, euler_file):
-        code, report = run_command(["bound", euler_file, "--n", "2"])
+        code, report = run_json(["bound", euler_file, "--n", "2"])
         assert code == 0
         assert report["results"]["bound"] == 3
 
     def test_validate(self, euler_file):
-        code, report = run_command(["validate", euler_file])
+        code, report = run_json(["validate", euler_file])
         assert code == 0
         assert report["results"]["ok"]
 
     def test_fixtures_emit(self, tmp_path):
         out = tmp_path / "out.conn"
-        code, report = run_command(["fixtures", "emit", "euler-half",
-                                    str(out)])
+        code, report = run_json(["fixtures", "emit", "euler-half",
+                                 str(out)])
         assert code == 0
         assert out.read_text() == fixture_file("euler-half")
 
     def test_unknown_fixture_is_domain_error(self, tmp_path):
-        code, report = run_command(["fixtures", "emit", "nope",
-                                    str(tmp_path / "x.conn")])
+        code, report = run_json(["fixtures", "emit", "nope",
+                                 str(tmp_path / "x.conn")])
         assert code == 1
         assert "error" in report
 
     def test_monodromy_defect(self, tmp_path):
         path = tmp_path / "td.conn"
         path.write_text(fixture_file("triangle-diag"))
-        code, report = run_command(["monodromy", str(path), "--tol", "1e-12"])
+        code, report = run_json(["monodromy", str(path), "--tol", "1e-12"])
         assert code == 0
         assert report["results"]["product_defect"] < 1e-8
         assert report["results"]["irreducible"] == "irreducible"
@@ -106,7 +114,7 @@ class TestSubcommands:
         text = fixture_file("triangle-diag")
         path = tmp_path / "td.conn"
         path.write_text(text)
-        code, report = run_command(["validate", str(path)])
+        code, report = run_json(["validate", str(path)])
         assert code == 0
         assert report["inputs"]["sha256"] == \
             hashlib.sha256(text.encode()).hexdigest()
@@ -114,7 +122,7 @@ class TestSubcommands:
     def test_monodromy_generator_diagnostics(self, tmp_path):
         path = tmp_path / "td.conn"
         path.write_text(fixture_file("triangle-diag"))
-        code, report = run_command(["monodromy", str(path), "--tol", "1e-10"])
+        code, report = run_json(["monodromy", str(path), "--tol", "1e-10"])
         res = report["results"]
         assert code == 0
         assert len(res["generator_diagnostics"]) == len(res["points"]) == 3
@@ -154,7 +162,7 @@ class TestSubcommands:
         path = tmp_path / "big.conn"
         path.write_text("rank 1\nsplitting 0\npoint 0 order 1\n"
                         "point 1 order 1\nmatrix\n3000/(t*(t-1))\nend\n")
-        code, report = run_command([argv[0], str(path), *argv[1:]])
+        code, report = run_json([argv[0], str(path), *argv[1:]])
         assert code == 1
         assert "no order up to" in report["error"]
 
@@ -222,6 +230,12 @@ class TestArguments:
         (["monodromy", "--base", "one"], "bad base point"),
         (["achieve", "--n", "1", "--base", "nan"], "not finite"),
         (["achieve", "--n", "1", "--base", "inf+1j"], "not finite"),
+        (["achieve", "--n", "-1"], "n must be >= 0"),
+        (["achieve", "--n", "0", "--pole-divisor", "inf^3"], "at most n"),
+        (["achieve", "--n", "-1", "--pole-divisor", "inf^3"],
+         "n must be >= 0"),
+        (["sample-h", "--n", "-1", "--pole-divisor", "inf^3"],
+         "n must be >= 0"),
     ])
     def test_out_of_range_argument_is_domain_error(self, files, capsys, argv,
                                                    message):
@@ -238,14 +252,14 @@ class TestArguments:
 
     def test_report_fields_of_absent_flags_are_null(self, files):
         path = str(files / "euler.conn")
-        _, report = run_command(["wronskian", path])
+        _, report = run_json(["wronskian", path])
         assert report["seed"] is None
         assert report["tolerances"] == {"tol": None}
-        _, report = run_command(["ode", path, "--tol", "1e-10"])
+        _, report = run_json(["ode", path, "--tol", "1e-10"])
         assert report["seed"] is None
         assert report["tolerances"] == {"tol": 1e-10}
-        _, report = run_command(["sample-h", path, "--samples", "3",
-                                 "--seed", "4"])
+        _, report = run_json(["sample-h", path, "--samples", "3",
+                              "--seed", "4"])
         assert report["seed"] == 4
         assert report["tolerances"] == {"tol": None}
 

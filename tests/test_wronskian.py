@@ -34,7 +34,6 @@ from meroconn import (
 )
 from meroconn import exactalg as exactalg_mod
 from meroconn import wronskian as wronskian_mod
-from meroconn.cli import run_command
 from meroconn.errors import NotCyclic, SingularEvaluationPoint, ZeroSection
 from meroconn.fixtures import fixture_file, fixture_names
 from helpers import (
@@ -42,6 +41,7 @@ from helpers import (
     random_poly_section,
     random_rank2_connection,
     rng_for,
+    run_json,
 )
 
 ONE = RatFun.const(1)
@@ -392,13 +392,13 @@ class TestDerivedOnce:
         return str(path)
 
     def test_classify_derives_rank_iterates(self, counts, tri):
-        code, report = run_command(["classify", tri, "--section=t^2+1,t-3"])
+        code, report = run_json(["classify", tri, "--section=t^2+1,t-3"])
         assert code == 0 and report["results"]["residue_identity"]
         assert counts["covariant_derivative"] == 2
         assert counts["det_ratfun"] == 0
 
     def test_wronskian_runs_one_wronskian(self, counts, tri):
-        code, report = run_command(["wronskian", tri, "--section=t^2+1,t-3"])
+        code, report = run_json(["wronskian", tri, "--section=t^2+1,t-3"])
         assert code == 0 and "generation_bound" in report["results"]
         assert counts["det_ratfun"] == 1
         assert counts["covariant_derivative"] == 1
@@ -438,7 +438,7 @@ class TestDerivedOnce:
 
     def test_ode_derives_rank_iterates(self, counts, tri):
         # the scalar equation and the period jet share grad^0 w ... grad^2 w
-        code, report = run_command(["ode", tri, "--section=t^2+1,t-3"])
+        code, report = run_json(["ode", tri, "--section=t^2+1,t-3"])
         assert code == 0 and report["results"]["residual_at_base"] < 1e-8
         assert counts["covariant_derivative"] == 2
 
@@ -451,7 +451,7 @@ class TestDerivedOnce:
             return original(p)
 
         monkeypatch.setattr(exactalg_mod, "squarefree_decompose", counted)
-        code, report = run_command(["classify", tri, "--section=t^2+1,t-3"])
+        code, report = run_json(["classify", tri, "--section=t^2+1,t-3"])
         assert code == 0 and report["results"]["apparent"]
         a = wronskian_determinant(fixture("triangle-diag"),
                                   Section([T * T + ONE, T - RatFun.const(3)],
