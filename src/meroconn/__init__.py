@@ -29,7 +29,6 @@ from .connection import (
 from .errors import (
     DegenerateJet,
     InvalidArgument,
-    InvalidConnection,
     MixedFactor,
     NotASingularPoint,
     NotCyclic,

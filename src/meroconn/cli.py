@@ -115,9 +115,7 @@ def parse_connection_file(text: str, validate: bool = True) -> Connection:
         raise ParseError(f"matrix must be {rank}x{rank}")
     conn = Connection(splitting, Divisor(points), matrix_rows)
     if validate:
-        report = conn.validate()
-        if not report.ok:
-            raise ValidationFailed(report)
+        conn.ensure_valid()
     return conn
 
 
@@ -175,9 +173,18 @@ def _emit_text(obj, out, indent=0):
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
+def _file_error(verb, path, exc) -> InvalidArgument:
+    """A file that cannot be read or written, as a domain error naming it."""
+    reason = getattr(exc, "strerror", None) or exc
+    return InvalidArgument(f"cannot {verb} {path}: {reason}")
+
+
 def _load(args, validate=True):
-    with open(args.file, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(args.file, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _file_error("read", args.file, exc) from exc
     conn = parse_connection_file(text, validate=validate)
     return conn, {"file": args.file, "sha256": _digest(text)}
 
@@ -359,8 +366,11 @@ def _cmd_fixtures(args):
     except KeyError as exc:
         raise ToolkitError(str(exc))
     path = args.path or f"{args.name}.conn"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _file_error("write", path, exc) from exc
     return 0, {}, {"written": path, "sha256": _digest(text)}
 
 

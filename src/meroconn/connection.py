@@ -8,6 +8,8 @@ and holomorphy of the connection form at infinity in the twisted frame.
 
 Pole orders are split off each entry's denominator one divisor point at
 a time (Poly.split_root); a factor left over has poles off the divisor.
+The report keeps the largest entry order at each point and the residues
+of tr M, which the transport and the det check read.
 In the frame f_i = t^(a_i) e_i the matrix is N_ki = M_ki t^(a_i - a_k) +
 (a_i / t) delta_ki, and each entry needs degree <= -2 at infinity.  N is
 never formed: entry (k,i) has degree infinity_degree(M_ki) + a_i - a_k,
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bundle import Divisor, Section, SplittingType, chern
-from .errors import InvalidConnection, NotASingularPoint
+from .errors import NotASingularPoint, ValidationFailed
 from .exactalg import (
     GaussRat,
     Poly,
@@ -42,6 +44,10 @@ class ValidationReport:
     ok: bool
     violations: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
+    # divisor point -> largest pole order of an entry there (0 when none)
+    pole_orders: dict = field(default_factory=dict)
+    # divisor point -> res(tr M, c); filled when the degree checks pass
+    trace_residues: dict = field(default_factory=dict)
 
     def __bool__(self):
         return self.ok
@@ -80,16 +86,18 @@ class Connection:
     def ensure_valid(self):
         report = self.validate()
         if not report.ok:
-            raise InvalidConnection(report)
+            raise ValidationFailed(report)
 
     def __repr__(self):
         return (f"Connection(rank={self.rank}, splitting={self.splitting.twists}, "
                 f"divisor={self.divisor})")
 
 
-def _entry_pole_violations(conn: Connection):
-    """Check every matrix entry has finite poles only in C, order <= m_c."""
+def _entry_poles(conn: Connection):
+    """(violations, orders): every matrix entry must have finite poles only
+    in C, of order <= m_c; orders[c] is the largest entry order at c."""
     out = []
+    orders = dict.fromkeys(conn.singular_points, 0)
     for i, row in enumerate(conn.matrix):
         for j, entry in enumerate(row):
             if entry.is_zero():
@@ -97,6 +105,7 @@ def _entry_pole_violations(conn: Connection):
             den = entry.den
             for c, m in conn.divisor.finite_entries():
                 k, den = den.split_root(c)
+                orders[c] = max(orders[c], k)
                 if k > m:
                     out.append(
                         f"entry ({i},{j}) has pole order {k} > {m} at t={c}"
@@ -105,14 +114,14 @@ def _entry_pole_violations(conn: Connection):
                 out.append(
                     f"entry ({i},{j}) has poles outside the divisor (factor {den})"
                 )
-    return out
+    return out, orders
 
 
 def validate(conn: Connection) -> ValidationReport:
     """Pole constraint at the divisor plus holomorphy of the form at
     infinity; also asserts the residue-theorem identity
     sum_c res(tr M, c) = -c(V) for accepted connections."""
-    violations = _entry_pole_violations(conn)
+    violations, orders = _entry_poles(conn)
     a = conn.splitting.twists
     for k, row in enumerate(conn.matrix):
         for i, entry in enumerate(row):
@@ -130,12 +139,13 @@ def validate(conn: Connection) -> ValidationReport:
     if not conn.divisor.entries:
         warnings.append("empty pole divisor: monodromy is necessarily trivial")
     report = ValidationReport(ok=not violations, violations=violations,
-                              warnings=warnings)
+                              warnings=warnings, pole_orders=orders)
     if report.ok:
         # residue theorem: implied by the two degree checks, asserted anyway
         tr = conn.trace()
-        total = sum((residue(tr, c) for c in conn.singular_points),
-                    GaussRat(0))
+        report.trace_residues = {c: residue(tr, c)
+                                 for c in conn.singular_points}
+        total = sum(report.trace_residues.values(), GaussRat(0))
         if total != GaussRat(-chern(conn.splitting)):
             report.ok = False
             report.violations.append(
@@ -190,34 +200,13 @@ class LocalData:
 
     point: GaussRat
     laurent: list          # laurent[j-1] = exact matrix coefficient of (t-c)^(-j)
-    exponents: list        # numeric eigenvalues of the residue matrix C_1
+    exponents: list        # LAPACK eigenvalues of the residue matrix C_1
     top_vanishes: bool     # True when C_{m_c} = 0 (order drop warning)
-
-
-def _charpoly_exact(mat):
-    """Faddeev-LeVerrier characteristic polynomial of a GaussRat matrix,
-    returned as GaussRat coefficients, highest power first (monic)."""
-    n = len(mat)
-
-    def matmul(A, B):
-        return [[sum((A[i][k] * B[k][j] for k in range(n)), GaussRat(0))
-                 for j in range(n)] for i in range(n)]
-
-    coeffs = [GaussRat(1)]
-    M = [[GaussRat(0)] * n for _ in range(n)]
-    for k in range(1, n + 1):
-        # M <- A (M + c_{k-1} I)
-        for i in range(n):
-            M[i][i] = M[i][i] + coeffs[-1]
-        M = matmul(mat, M)
-        c = -sum((M[i][i] for i in range(n)), GaussRat(0)) / GaussRat(k)
-        coeffs.append(c)
-    return coeffs
 
 
 def local_data(conn: Connection, c) -> LocalData:
     """Exact Laurent matrices C_1..C_m at a singular point c, with the
-    eigenvalues of the residue C_1 computed numerically."""
+    eigenvalues of the residue C_1 in double precision."""
     c = _coerce(c)
     m = conn.divisor.order_at(c)
     if m == 0:
@@ -229,10 +218,9 @@ def local_data(conn: Connection, c) -> LocalData:
     for j in range(1, m + 1):
         laurent.append([[per_entry[i][k][j - 1] for k in range(n)]
                         for i in range(n)])
-    c1 = laurent[0]
-    char = _charpoly_exact(c1)
-    roots = np.roots([z.to_complex() for z in char])
+    c1 = np.array([[z.to_complex() for z in row] for row in laurent[0]])
     top_vanishes = all(e.is_zero() for row in laurent[-1] for e in row)
     return LocalData(point=c, laurent=laurent,
-                     exponents=sorted(roots, key=lambda z: (z.real, z.imag)),
+                     exponents=sorted(np.linalg.eigvals(c1),
+                                      key=lambda z: (z.real, z.imag)),
                      top_vanishes=top_vanishes)

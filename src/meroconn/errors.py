@@ -31,12 +31,6 @@ class PoleOutsideAllowedSet(ToolkitError):
         super().__init__(message or f"poles outside the allowed set at {self.points}")
 
 
-class InvalidConnection(ToolkitError):
-    def __init__(self, report):
-        self.report = report
-        super().__init__("connection fails validation: " + "; ".join(report.violations))
-
-
 class NotASingularPoint(ToolkitError):
     pass
 
@@ -80,6 +74,8 @@ class ParseError(ToolkitError):
 
 
 class ValidationFailed(ToolkitError):
+    """A connection fails validation; carries the ValidationReport."""
+
     def __init__(self, report):
         self.report = report
         super().__init__("validation failed: " + "; ".join(report.violations))

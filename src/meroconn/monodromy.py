@@ -34,7 +34,7 @@ from .errors import (
     SingularityTooClose,
     StepUnderflow,
 )
-from .exactalg import GaussRat, Poly, RatFun, residue
+from .exactalg import GaussRat, Poly, RatFun
 from .wronskian import ScalarODE, iterated
 
 __all__ = [
@@ -140,20 +140,17 @@ class TransportDiagnostics:
 
 
 class _TaylorStepper:
-    """q Y' = -P Y, with q the monic common denominator of M and P = q M,
-    converted once from exact to complex coefficient arrays."""
+    """q Y' = -P Y, with q the monic common denominator of M, from the
+    validated pole orders, and P = q M, as complex coefficient arrays."""
 
     def __init__(self, conn: Connection):
         n = conn.rank
-        entries = [e for row in conn.matrix for e in row]
-        dens = set(e.den for e in entries)
-        roots = [(c, max(d.root_multiplicity(c) for d in dens))
-                 for c in conn.singular_points]
-        q = Poly.from_roots([c for c, k in roots for _ in range(k)])
-        self.roots = [(c.to_complex(), k) for c, k in roots if k]
+        orders = conn.validate().pole_orders
+        q = Poly.from_roots([c for c, k in orders.items() for _ in range(k)])
+        self.roots = [(c.to_complex(), k) for c, k in orders.items() if k]
         self.sings = [c.to_complex() for c in conn.singular_points]
-        cofactor = {d: q // d for d in dens}
-        polys = [e.num * cofactor[e.den] for e in entries] + [q]
+        polys = [e.num * (q // e.den) for row in conn.matrix for e in row]
+        polys.append(q)
         deg = max(p.deg for p in polys)
         self.coeffs = np.array([[p[k].to_complex() for p in polys]
                                 for k in range(deg + 1)])
@@ -319,10 +316,9 @@ def monodromy_generators(conn: Connection, base=None,
     # (det T)' = -tr(M) det T, so the loop around c multiplies det T by
     # exp(-2 pi i res_c tr M) exactly.  Only the determinant is checked:
     # eigenvalues of a Jordan block lose half their digits.
-    tr = conn.trace()
     det_defect = 0.0
-    for c in conn.singular_points:
-        want = cmath.exp(-2j * math.pi * residue(tr, c).to_complex())
+    for c, res in conn.validate().trace_residues.items():
+        want = cmath.exp(-2j * math.pi * res.to_complex())
         got = np.linalg.det(Ts[spec.points.index(c.to_complex())])
         det_defect = max(det_defect, float(abs(got - want) / abs(want)))
     return MonodromyReport(

@@ -303,17 +303,16 @@ def residue_identity_check(conn: Connection, section: Section):
 def _residue_records(conn: Connection, a: RatFun, ode: ScalarODE,
                      factors: list):
     p1 = ode.coeffs[-1]
-    tr = conn.trace()
-    sing = list(conn.singular_points)
+    tr_res = conn.validate().trace_residues
     # rational zeros and poles of the Wronskian, then the divisor, each once
     points = dict.fromkeys([root for _, _, roots in factors for root in roots]
                            + [root for root, _ in rational_roots(a.den)]
-                           + sing)
+                           + list(tr_res))
     records = []
     for b in points:
-        in_div = b in sing
+        in_div = b in tr_res
         lhs = residue(p1, b)
-        rhs = GaussRat(valuation(a, b)) + (residue(tr, b) if in_div else 0)
+        rhs = GaussRat(valuation(a, b)) + tr_res.get(b, 0)
         records.append(ResidueCheckRecord(point=b, lhs=lhs, rhs=rhs,
                                           in_divisor=in_div, equal=lhs == rhs))
     return records

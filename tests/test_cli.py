@@ -8,7 +8,8 @@ import time
 
 import pytest
 
-from meroconn import fixture, fixture_file, fixture_names
+from meroconn import (Section, fixture, fixture_file, fixture_names, iterated,
+                      parse_ratfun)
 from meroconn.cli import main, parse_connection_file
 from meroconn.errors import ParseError, ValidationFailed
 from helpers import run_json
@@ -65,6 +66,39 @@ class TestParseConnectionFile:
         with pytest.raises(ParseError):
             parse_connection_file(text)
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("rank 1\nrank 1\nsplitting 0\npoint 0 order 1\nmatrix\n0\nend\n",
+         2, "duplicate rank line"),
+        ("rank x\nsplitting 0\npoint 0 order 1\nmatrix\n0\nend\n",
+         1, "rank needs one integer"),
+        ("rank 0\nsplitting 0\npoint 0 order 1\nmatrix\n0\nend\n",
+         1, "rank must be >= 1"),
+        ("rank 1\nsplitting a\npoint 0 order 1\nmatrix\n0\nend\n",
+         2, "bad splitting line"),
+        ("rank 1\nsplitting 0\npoint 0 ord 1\nmatrix\n0\nend\n",
+         3, "expected: point"),
+        ("rank 1\nsplitting 0\npoint q order 1\nmatrix\n0\nend\n",
+         3, "bad point"),
+        ("rank 1\nsplitting 0\npoint 0 order one\nmatrix\n0\nend\n",
+         3, "order must be an integer"),
+        ("rank 1\nsplitting 0\npoint 0 order 1\nmatrix\n0\nend\nrank 1\n",
+         7, "content after 'end'"),
+        ("rank 1\nsplitting 0\npoint 0 order 1\nmatrix\n0\n",
+         None, "not terminated"),
+        ("splitting 0\npoint 0 order 1\nmatrix\n0\nend\n",
+         None, "missing rank line"),
+        ("rank 1\npoint 0 order 1\nmatrix\n0\nend\n",
+         None, "missing splitting line"),
+        ("rank 1\nsplitting 0\npoint 0 order 1\nmatrix\n1/(t\nend\n",
+         5, "bad matrix entry"),
+        ("rank 1\nsplitting 0\npoint 0 order 1\nmatrix\n0 0\nend\n",
+         None, "matrix must be 1x1"),
+    ])
+    def test_malformed_text(self, text, line, message):
+        with pytest.raises(ParseError, match=message) as exc:
+            parse_connection_file(text)
+        assert exc.value.line == line
+
     def test_parse_error_carries_line(self):
         text = "rank 1\nsplitting 0\nbogus directive\nmatrix\n0\nend\n"
         with pytest.raises(ParseError) as exc:
@@ -88,6 +122,27 @@ class TestSubcommands:
         code, report = run_json(["validate", euler_file])
         assert code == 0
         assert report["results"]["ok"]
+
+    def test_derive(self, euler_file):
+        code, report = run_json(["derive", euler_file, "--order", "2",
+                                 "--section=t^2+1"])
+        assert code == 0
+        conn = fixture("euler-half")
+        section = Section([parse_ratfun("t^2+1")], conn.splitting)
+        its = iterated(conn, section, 2)
+        assert report["results"] == {
+            "order": 2,
+            "iterates": [[str(c) for c in s.comps] for s in its]}
+
+    def test_invalid_file_outside_validate(self, tmp_path):
+        path = tmp_path / "bad.conn"
+        path.write_text("rank 1\nsplitting 0\npoint 0 order 1\n"
+                        "matrix\n1/t^2\nend\n")
+        code, report = run_json(["monodromy", str(path)])
+        assert code == 1
+        assert report["error"] == "validation failed"
+        assert report["violations"] == [
+            "entry (0,0) has pole order 2 > 1 at t=0"]
 
     def test_fixtures_emit(self, tmp_path):
         out = tmp_path / "out.conn"
@@ -298,7 +353,31 @@ class TestExitCodes:
 
     def test_missing_file(self, tmp_path):
         proc = run_cli(["validate", str(tmp_path / "absent.conn")])
-        assert proc.returncode != 0
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    @pytest.mark.parametrize("command", ["validate", "monodromy"])
+    def test_unreadable_file_is_domain_error(self, tmp_path, kind, command):
+        path = tmp_path / "input.conn"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b"rank 1\xff\n")
+        code, report = run_json([command, str(path)])
+        assert code == 1
+        assert report["error"].startswith(f"cannot read {path}: ")
+
+    @pytest.mark.parametrize("kind", ["missing-dir", "directory"])
+    def test_unwritable_emit_path_is_domain_error(self, tmp_path, kind):
+        path = tmp_path / "out.conn"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path = tmp_path / "absent" / "out.conn"
+        code, report = run_json(["fixtures", "emit", "euler-half", str(path)])
+        assert code == 1
+        assert report["error"].startswith(f"cannot write {path}: ")
 
 
 class TestDeterminism:

@@ -26,7 +26,7 @@ from meroconn import (
     residue,
     validate,
 )
-from meroconn.errors import NotASingularPoint
+from meroconn.errors import NotASingularPoint, ValidationFailed
 from helpers import (
     lin,
     rand_fraction,
@@ -79,6 +79,16 @@ class TestValidate:
                           [[ONE / (T - RatFun.const(3))]])
         assert not conn.validate().ok
 
+    def test_ensure_valid_raises_with_violations(self):
+        conn = Connection(SplittingType([0]), Divisor([(GaussRat(0), 1)]),
+                          [[ONE / T ** 2]])
+        with pytest.raises(ValidationFailed) as exc:
+            conn.ensure_valid()
+        assert exc.value.report is conn.validate()
+        assert exc.value.report.violations == [
+            "entry (0,0) has pole order 2 > 1 at t=0"]
+        assert "pole order 2 > 1" in str(exc.value)
+
     def test_residue_theorem_for_accepted(self):
         rng = rng_for("residue-theorem")
         for _ in range(25):
@@ -86,6 +96,33 @@ class TestValidate:
             total = sum((residue(conn.trace(), c)
                          for c in conn.singular_points), GaussRat(0))
             assert total == GaussRat(-chern(conn.splitting))
+
+
+def _per_pole_cases():
+    rng = rng_for("per-pole-data")
+    cases = [pytest.param(fixture(name), id=name) for name in fixture_names()]
+    cases += [pytest.param(random_connection(rng), id=f"random{k}")
+              for k in range(12)]
+    return cases
+
+
+class TestPerPoleData:
+    """validate keeps the largest entry pole order and res(tr M, c) at
+    each divisor point."""
+
+    @pytest.mark.parametrize("conn", _per_pole_cases())
+    def test_trace_residues(self, conn):
+        report = conn.validate()
+        assert list(report.trace_residues) == conn.singular_points
+        for c in conn.singular_points:
+            assert report.trace_residues[c] == residue(conn.trace(), c)
+
+    def test_invalid_connection_has_no_trace_residues(self):
+        conn = Connection(SplittingType([0]), Divisor([(GaussRat(0), 1)]),
+                          [[ONE / T ** 2]])
+        report = conn.validate()
+        assert report.pole_orders == {GaussRat(0): 2}
+        assert report.trace_residues == {}
 
 
 def _twisted_frame_validate(conn):
@@ -313,6 +350,19 @@ class TestLocalData:
                                  [GaussRat(0), GaussRat(0)]]
         assert np.allclose(ld.exponents, [0, 0])
         assert not ld.top_vanishes
+
+    def test_scalar_residue_exponents_exact(self):
+        # C_1 = I/3 at 0: the eigenvalues of a scalar matrix are exact,
+        # where the roots of its characteristic polynomial split by 6e-9
+        third = RatFun.const(GaussRat(Fraction(1, 3)))
+        m = third / T - third / (T - ONE)
+        conn = Connection(SplittingType([0, 0]),
+                          Divisor([(GaussRat(0), 1), (GaussRat(1), 1)]),
+                          [[m, ZERO], [ZERO, m]])
+        assert np.max(np.abs(np.array(local_data(conn, 0).exponents)
+                             - 1 / 3)) <= 1e-15
+        assert np.max(np.abs(np.array(local_data(conn, 1).exponents)
+                             + 1 / 3)) <= 1e-15
 
     def test_not_singular(self):
         with pytest.raises(NotASingularPoint):

@@ -39,6 +39,8 @@ from meroconn import (
 )
 from meroconn import monodromy as monodromy_mod
 from meroconn.errors import DegenerateJet, SingularityTooClose, StepUnderflow
+from meroconn.exactalg import gcd_poly
+from helpers import random_connection, rng_for
 
 ONE = RatFun.const(1)
 ZERO = RatFun.const(0)
@@ -159,6 +161,58 @@ class TestIrregularPoint:
         y, diag = monodromy_mod._transport(stepper, [Line(1.0, 0.1)],
                                            np.array([math.e]), 1e-8)
         assert abs(y[0] - math.exp(10)) <= diag.tail_bound + 1e-13
+
+
+def _overstated_conn():
+    """M = 1/t^2 + 1/(2t) - 1/(2(t-1)) on a divisor that overstates the
+    order at 0 and 1 and lists 2, where M has no pole."""
+    half = RatFun.const(GaussRat(Fraction(1, 2)))
+    return Connection(
+        SplittingType([0]),
+        Divisor([(GaussRat(0), 3), (GaussRat(1), 2), (GaussRat(2), 1)]),
+        [[ONE / T ** 2 + half / T - half / (T - ONE)]])
+
+
+def _stepper_cases():
+    """The fixtures, seeded random connections, an irregular point and an
+    overstated divisor."""
+    cases = [pytest.param(fixture(name), id=name) for name in
+             ("euler-half", "triangle-nilpotent", "triangle-diag",
+              "two-point-reducible")]
+    rng = rng_for("stepper-denominator")
+    cases += [pytest.param(random_connection(rng), id=f"random{k}")
+              for k in range(12)]
+    cases.append(pytest.param(irregular_conn(3), id="irregular3"))
+    cases.append(pytest.param(_overstated_conn(), id="overstated"))
+    return cases
+
+
+def _monic_lcm(polys):
+    q = Poly.const(1)
+    for p in polys:
+        q = (q * p // gcd_poly(q, p)).monic()
+    return q
+
+
+class TestStepperDenominator:
+    """The stepper's q comes from the pole orders validation keeps."""
+
+    @pytest.mark.parametrize("conn", _stepper_cases())
+    def test_q_is_lcm_of_entry_denominators(self, conn):
+        want = _monic_lcm([e.den for row in conn.matrix for e in row])
+        orders = conn.validate().pole_orders
+        q = Poly.from_roots([c for c, k in orders.items() for _ in range(k)])
+        assert q == want
+        stepper = monodromy_mod._TaylorStepper(conn)
+        column = stepper.coeffs[:, -1]
+        assert list(column[:q.deg + 1]) == [c.to_complex() for c in q.coeffs]
+        assert not column[q.deg + 1:].any()
+        assert stepper.roots == [(c.to_complex(), k)
+                                 for c, k in orders.items() if k]
+
+    def test_overstated_divisor_keeps_actual_orders(self):
+        assert _overstated_conn().validate().pole_orders == {
+            GaussRat(0): 2, GaussRat(1): 1, GaussRat(2): 0}
 
 
 class TestMonodromyGenerators:
