@@ -234,6 +234,8 @@ class Poly:
             return Poly()
         out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
+            if a.is_zero():
+                continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
         return Poly(out)
@@ -377,10 +379,11 @@ class RatFun:
             self.num = Poly()
             self.den = Poly.const(1)
             return
-        g = gcd_poly(num, den)
-        if g.deg > 0:
-            num = num // g
-            den = den // g
+        if num.deg > 0 and den.deg > 0:     # else the gcd is 1
+            g = gcd_poly(num, den)
+            if g.deg > 0:
+                num = num // g
+                den = den // g
         lead_inv = den.lead().inverse()
         self.num = num * lead_inv
         self.den = den * lead_inv
@@ -724,6 +727,7 @@ def _zero_profile(factors, excluded):
 _TOK_INT = "int"
 _TOK_SYM = "sym"
 _TOK_OP = "op"
+_POLY_ONE = Poly.const(1)
 
 
 def _tokenize(text: str):
@@ -752,7 +756,19 @@ def _tokenize(text: str):
     return toks
 
 
+def _sum(a, b):
+    """a + b on unreduced (numerator, denominator) pairs."""
+    (an, ad), (bn, bd) = a, b
+    if ad == bd:
+        return an + bn, ad
+    return an * bd + bn * ad, ad * bd
+
+
 class _Parser:
+    """Recursive descent over unreduced (numerator, denominator) Poly
+    pairs: only a power's base and the finished expression are reduced,
+    so an entry costs one gcd, not one per operation."""
+
     def __init__(self, text: str):
         self.text = text
         self.toks = _tokenize(text)
@@ -774,20 +790,20 @@ class _Parser:
             raise ParseError(f"expected {op!r}", column=t[2])
 
     def parse(self) -> RatFun:
-        v = self.expr()
+        num, den = self.expr()
         t = self.peek()
         if t is not None:
             raise ParseError(f"trailing input {t[1]!r}", column=t[2])
-        return v
+        return RatFun(num, den)
 
-    def expr(self) -> RatFun:
+    def expr(self):
         v = self.term()
         while True:
             t = self.peek()
             if t and t[0] == _TOK_OP and t[1] in "+-":
                 self.take()
-                rhs = self.term()
-                v = v + rhs if t[1] == "+" else v - rhs
+                num, den = self.term()
+                v = _sum(v, (num, den) if t[1] == "+" else (-num, den))
             else:
                 return v
 
@@ -798,32 +814,32 @@ class _Parser:
             or (t[0] == _TOK_OP and t[1] == "(")
         )
 
-    def term(self) -> RatFun:
-        v = self.unary()
+    def term(self):
+        num, den = self.unary()
         while True:
             t = self.peek()
             if t and t[0] == _TOK_OP and t[1] in "*/":
                 self.take()
-                rhs = self.unary()
+                rn, rd = self.unary()
                 if t[1] == "/":
-                    if rhs.is_zero():
+                    if rn.is_zero():
                         raise ParseError("division by zero", column=t[2])
-                    v = v / rhs
-                else:
-                    v = v * rhs
+                    rn, rd = rd, rn
             elif self._starts_factor(t):
-                v = v * self.unary()  # juxtaposition
+                rn, rd = self.unary()  # juxtaposition
             else:
-                return v
+                return num, den
+            num, den = num * rn, den * rd
 
-    def unary(self) -> RatFun:
+    def unary(self):
         t = self.peek()
         if t and t[0] == _TOK_OP and t[1] == "-":
             self.take()
-            return -self.unary()
+            num, den = self.unary()
+            return -num, den
         return self.power()
 
-    def power(self) -> RatFun:
+    def power(self):
         base = self.atom()
         t = self.peek()
         if t and t[0] == _TOK_OP and t[1] == "^":
@@ -837,17 +853,21 @@ class _Parser:
             if t3[0] != _TOK_INT:
                 raise ParseError("exponent must be an integer", column=t3[2])
             exp = sign * t3[1]
-            if exp < 0 and base.is_zero():
+            if exp < 0 and base[0].is_zero():
                 raise ParseError("zero to a negative power", column=t3[2])
-            return base ** exp
+            if exp == 1:
+                return base
+            r = RatFun(*base)       # reduced, so the power adds no degree
+            num, den = (r.num, r.den) if exp > 0 else (r.den, r.num)
+            return num ** abs(exp), den ** abs(exp)
         return base
 
-    def atom(self) -> RatFun:
+    def atom(self):
         t = self.take()
         if t[0] == _TOK_INT:
-            return RatFun.const(t[1])
+            return Poly.const(t[1]), _POLY_ONE
         if t[0] == _TOK_SYM:
-            return RatFun.const(I) if t[1] == "i" else RatFun.t()
+            return Poly.const(I) if t[1] == "i" else Poly.x(), _POLY_ONE
         if t[0] == _TOK_OP and t[1] == "(":
             v = self.expr()
             self.expect_op(")")

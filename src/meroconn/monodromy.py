@@ -88,11 +88,52 @@ class PathSpec:
     loops: list                  # loops[k] = list of pieces for points[k]
 
 
+# Turns of the default base about 0, tried in order until every approach
+# line clears the other singular points by _APPROACH_CLEARANCE loop radii.
+_BASE_TURNS = [0.0] + [s * k * math.pi / 16 for k in range(1, 17)
+                       for s in (1, -1)]
+_APPROACH_CLEARANCE = 0.1
+
+
 def default_base(conn: Connection) -> complex:
-    """Deterministic base point outside the hull of the singularities."""
+    """Deterministic base point outside the disc that holds the
+    singularities: 1 + s(1 + i/2), with s the largest modulus, turned
+    about 0 by the first of _BASE_TURNS whose approach lines clear the
+    other points (unturned when none does)."""
     sings = [c.to_complex() for c in conn.singular_points]
     scale = max((abs(c) for c in sings), default=0.0)
-    return 1.0 + max(scale, 0.0) * (1.0 + 0.5j)
+    first = 1.0 + scale * (1.0 + 0.5j)
+    for turn in _BASE_TURNS:
+        base = first * cmath.exp(1j * turn)
+        if _approach_gap(sings, base) >= _APPROACH_CLEARANCE:
+            return base
+    return first
+
+
+def _loops(sings: list, base: complex) -> list:
+    """(radius, entry) of the loop around each point: half the distance to
+    the nearest other point or the base, entered from the base's side."""
+    out = []
+    for c in sings:
+        rho = 0.5 * min(abs(c - x) for x in sings + [base] if x != c)
+        u = (base - c) / abs(base - c)
+        out.append((rho, c + rho * u))
+    return out
+
+
+def _approach_gap(sings: list, base: complex) -> float:
+    """Least distance from a singular point to the approach line of another
+    point's loop, in units of its own loop radius."""
+    circles = _loops(sings, base)
+    gap = math.inf
+    for k, (_, entry) in enumerate(circles):
+        d = entry - base
+        for j, c in enumerate(sings):
+            if j != k:
+                s = min(1.0, max(0.0, ((c - base) * d.conjugate()).real
+                                 / abs(d) ** 2))
+                gap = min(gap, abs(c - base - s * d) / circles[j][0])
+    return gap
 
 
 def loop_paths(conn: Connection, base: complex | None = None) -> PathSpec:
@@ -100,15 +141,13 @@ def loop_paths(conn: Connection, base: complex | None = None) -> PathSpec:
     base = default_base(conn) if base is None else _as_complex(base)
     if any(abs(base - c) < 1e-12 for c in sings):
         raise SingularityTooClose("base point coincides with a singular point")
+    circles = _loops(sings, base)
     order = sorted(range(len(sings)),
                    key=lambda k: (cmath.phase(sings[k] - base), abs(sings[k])))
     points, loops = [], []
     for k in order:
         c = sings[k]
-        others = [x for x in sings if x != c] + [base]
-        rho = 0.5 * min(abs(c - x) for x in others)
-        u = (base - c) / abs(base - c)
-        entry = c + rho * u
+        rho, entry = circles[k]
         th = cmath.phase(entry - c)
         pieces = [
             Line(base, entry),

@@ -1,5 +1,6 @@
 """Exact arithmetic layer: polynomials, rational functions, residues."""
 
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +24,8 @@ from meroconn import (
     squarefree_decompose,
     valuation,
 )
-from meroconn.exactalg import _row_echelon
+from meroconn import exactalg
+from meroconn.exactalg import _row_echelon, gcd_poly
 from meroconn.errors import (
     MixedFactor,
     ParseError,
@@ -388,3 +390,131 @@ class TestParsing:
             parse_ratfun("(t")
         with pytest.raises(ParseError):
             parse_gaussrat("t+1")
+
+    def test_zero_divisor_errors_keep_their_column(self):
+        # both zeros appear only once the sum or difference is formed
+        with pytest.raises(ParseError, match="^division by zero$") as exc:
+            parse_ratfun("1/(t/t^2-1/t)")
+        assert exc.value.column == 1
+        with pytest.raises(ParseError,
+                           match="^zero to a negative power$") as exc:
+            parse_ratfun("(t-t)^-1")
+        assert exc.value.column == 7
+
+
+# Expression trees: ("int", n), ("i",), ("t",), ("paren", a), ("neg", a),
+# ("pow", a, k) and (op, a, b) for op in + - * / and "juxt".  Each renders
+# with the parentheses its precedence needs, from _EXPR (loosest) to _ATOM.
+_EXPR, _TERM, _UNARY, _POWER, _ATOM = range(5)
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv, "juxt": operator.mul}
+
+
+def _render(node, need=_EXPR) -> str:
+    kind = node[0]
+    if kind == "int":
+        text, level = str(node[1]), _ATOM
+    elif kind in ("i", "t"):
+        text, level = kind, _ATOM
+    elif kind == "paren":
+        text, level = f"({_render(node[1])})", _ATOM
+    elif kind == "pow":
+        text, level = f"{_render(node[1], _ATOM)}^{node[2]}", _POWER
+    elif kind == "neg":
+        text, level = "-" + _render(node[1], _UNARY), _UNARY
+    elif kind in "+-":
+        text = _render(node[1], _EXPR) + kind + _render(node[2], _TERM)
+        level = _EXPR
+    elif kind in "*/":
+        text = _render(node[1], _TERM) + kind + _render(node[2], _UNARY)
+        level = _TERM
+    else:       # juxtaposition: the right factor may not start with '-'
+        text = _render(node[1], _TERM) + " " + _render(node[2], _POWER)
+        level = _TERM
+    return f"({text})" if level < need else text
+
+
+def _evaluate(node) -> RatFun:
+    """The tree's value, one reduced RatFun operation at a time."""
+    kind = node[0]
+    if kind == "int":
+        return RatFun.const(node[1])
+    if kind == "i":
+        return RatFun.const(GaussRat(0, 1))
+    if kind == "t":
+        return RatFun.t()
+    if kind == "paren":
+        return _evaluate(node[1])
+    if kind == "neg":
+        return -_evaluate(node[1])
+    if kind == "pow":
+        return _evaluate(node[1]) ** node[2]
+    return _BINARY[kind](_evaluate(node[1]), _evaluate(node[2]))
+
+
+_heights = st.one_of(st.integers(0, 9), st.integers(0, 10 ** 30))
+_leaves = st.one_of(
+    _heights.map(lambda n: ("int", n)),
+    st.just(("i",)),
+    st.just(("t",)),
+    # a Gaussian coefficient a + b i of height up to 10^30
+    st.tuples(_heights, _heights).map(
+        lambda ab: ("+", ("int", ab[0]), ("juxt", ("int", ab[1]), ("i",)))),
+)
+
+
+def _extend(inner):
+    return st.one_of(
+        st.tuples(st.sampled_from(sorted(_BINARY)), inner, inner),
+        st.tuples(st.just("pow"), inner, st.integers(-3, 3)),
+        st.tuples(st.just("neg"), inner),
+        st.tuples(st.just("paren"), inner),
+    )
+
+
+_trees = st.recursive(_leaves, _extend, max_leaves=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_trees)
+def test_parser_matches_stepwise_evaluation(tree):
+    text = _render(tree)
+    try:
+        expected = _evaluate(tree)
+    except ZeroDivisionError:
+        with pytest.raises(ParseError):
+            parse_ratfun(text)
+        return
+    assert parse_ratfun(text) == expected, text
+
+
+def _reduced_by_gcd(num: Poly, den: Poly):
+    g = gcd_poly(num, den)
+    num, den = num // g, den // g
+    lead_inv = den.lead().inverse()
+    return num * lead_inv, den * lead_inv
+
+
+class TestReduction:
+    def test_powers_reduce_their_base_first(self, monkeypatch):
+        seen = []
+
+        def gcd_degrees(a, b):
+            seen.append(max(a.deg, b.deg))
+            return gcd_poly(a, b)
+
+        monkeypatch.setattr(exactalg, "gcd_poly", gcd_degrees)
+        assert parse_ratfun("((t-1)/(t-1))^400") == RatFun.const(1)
+        assert parse_ratfun("(t^2/t)^-300") == RatFun(ONE, T ** 300)
+        assert seen and max(seen) <= 2
+
+    @pytest.mark.parametrize("num, den", [
+        (Poly([2]), Poly([0, 4])),
+        (Poly([2]), Poly([4])),
+        (Poly([1, 0, 1]), Poly([GaussRat(0, 5)])),
+        (Poly([GaussRat(3, 1)]), Poly([2, 0, GaussRat(1, -1)])),
+        (Poly([0, Fraction(1, 3)]), Poly([Fraction(1, 2)])),
+    ])
+    def test_constant_side_matches_gcd_form(self, num, den):
+        r = RatFun(num, den)
+        assert (r.num, r.den) == _reduced_by_gcd(num, den)

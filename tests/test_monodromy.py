@@ -28,6 +28,7 @@ from meroconn import (
     default_base,
     dual_connection,
     fixture,
+    fixture_names,
     irreducibility_check,
     local_data,
     loop_paths,
@@ -502,6 +503,29 @@ def _rank1_layout(points, residues):
                       [[m]])
 
 
+class TestDefaultBase:
+    @staticmethod
+    def _unturned(conn):
+        scale = max(abs(c.to_complex()) for c in conn.singular_points)
+        return 1.0 + scale * (1.0 + 0.5j)
+
+    def test_unturned_when_approach_lines_clear(self):
+        for name in fixture_names():
+            conn = fixture(name)
+            assert default_base(conn) == self._unturned(conn), name
+
+    def test_turned_off_a_line_of_points(self):
+        # the unturned base lies on the line through the three points
+        conn = _rank1_layout([GaussRat(-1, -1), GaussRat(3, 1),
+                              GaussRat(5, 2)], [Fraction(0)] * 3)
+        sings = [c.to_complex() for c in conn.singular_points]
+        first, base = self._unturned(conn), default_base(conn)
+        assert monodromy_mod._approach_gap(sings, first) < 1e-12
+        assert base != first
+        assert abs(base) == pytest.approx(abs(first))
+        assert monodromy_mod._approach_gap(sings, base) >= 0.1
+
+
 def _check_layout(layout):
     points, residues, base = layout
     report = monodromy_generators(_rank1_layout(points, residues), base=base,
@@ -599,11 +623,9 @@ class TestLayouts:
     def test_clustered(self, layout):
         _check_layout(layout)
 
-    # The default base 1 + 5.385(1 + i/2) lies on the line through these
-    # points, so the approach line to the loop around -1-i runs through 5+2i.
-    @pytest.mark.xfail(strict=True, raises=SingularityTooClose,
-                       reason="approach lines may cross a singular point "
-                       "(CHANGES FOUND)")
+    # The unturned default base 1 + 5.385(1 + i/2) lies on the line through
+    # these points, so its approach line to the loop around -1-i would run
+    # through 5+2i; default_base turns it away.
     @_LAYOUT_SETTINGS
     @given(_collinear())
     @example(([GaussRat(-1, -1), GaussRat(3, 1), GaussRat(5, 2)],
