@@ -64,12 +64,12 @@ def parse_connection_file(text: str, validate: bool = True) -> Connection:
             matrix_rows.append(row)
             continue
         fields = line.split()
+        if {"rank": rank, "splitting": splitting}.get(fields[0]) is not None:
+            raise ParseError(f"duplicate {fields[0]} line", line=lineno)
         if fields[0] == "rank":
-            if rank is not None:
-                raise ParseError("duplicate rank line", line=lineno)
             try:
-                rank = int(fields[1])
-            except (IndexError, ValueError):
+                (rank,) = (int(f) for f in fields[1:])
+            except ValueError:
                 raise ParseError("rank needs one integer", line=lineno)
             if rank < 1:
                 raise ParseError("rank must be >= 1", line=lineno)
@@ -96,6 +96,8 @@ def parse_connection_file(text: str, validate: bool = True) -> Connection:
                 raise ParseError(f"duplicate point {pt}", line=lineno)
             points.append((pt, order))
         elif fields[0] == "matrix":
+            if len(fields) > 1:
+                raise ParseError("matrix takes no fields", line=lineno)
             in_matrix = True
         else:
             raise ParseError(f"unknown directive {fields[0]!r}", line=lineno)

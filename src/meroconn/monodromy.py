@@ -12,7 +12,10 @@ times its share of the piece, or 1e-15 |Y|.  A report's transport error
 sums these bounds; roundoff and the growth of earlier errors are not in
 it, and det_defect shows them.  Each generator also reports its steps,
 largest order, least clearance and summed bound (TransportDiagnostics).
-All numerics are double precision.
+All numerics are double precision.  A loop's approach from the base, and
+the segment from the default base to a jet's point, are straight except
+where they would pass within a tenth of a loop radius of a singular point:
+there they follow its loop circle, on the side they pass it (_route).
 """
 
 from __future__ import annotations
@@ -88,52 +91,50 @@ class PathSpec:
     loops: list                  # loops[k] = list of pieces for points[k]
 
 
-# Turns of the default base about 0, tried in order until every approach
-# line clears the other singular points by _APPROACH_CLEARANCE loop radii.
-_BASE_TURNS = [0.0] + [s * k * math.pi / 16 for k in range(1, 17)
-                       for s in (1, -1)]
-_APPROACH_CLEARANCE = 0.1
+_DETOUR = 0.1   # loop radii: a segment this near a point follows its circle
+# slack of a crossing at a segment's end (in s) and of a tie in angle (rad)
+_SLACK = 1e-9
 
 
 def default_base(conn: Connection) -> complex:
     """Deterministic base point outside the disc that holds the
-    singularities: 1 + s(1 + i/2), with s the largest modulus, turned
-    about 0 by the first of _BASE_TURNS whose approach lines clear the
-    other points (unturned when none does)."""
-    sings = [c.to_complex() for c in conn.singular_points]
-    scale = max((abs(c) for c in sings), default=0.0)
-    first = 1.0 + scale * (1.0 + 0.5j)
-    for turn in _BASE_TURNS:
-        base = first * cmath.exp(1j * turn)
-        if _approach_gap(sings, base) >= _APPROACH_CLEARANCE:
-            return base
-    return first
+    singularities: 1 + s(1 + i/2), with s the largest modulus."""
+    scale = max((abs(c.to_complex()) for c in conn.singular_points),
+                default=0.0)
+    return 1.0 + scale * (1.0 + 0.5j)
 
 
-def _loops(sings: list, base: complex) -> list:
-    """(radius, entry) of the loop around each point: half the distance to
+def _loops(sings: list, base: complex) -> tuple:
+    """Radii and entries of the loops: half the distance from each point to
     the nearest other point or the base, entered from the base's side."""
-    out = []
-    for c in sings:
-        rho = 0.5 * min(abs(c - x) for x in sings + [base] if x != c)
-        u = (base - c) / abs(base - c)
-        out.append((rho, c + rho * u))
-    return out
+    radii = [0.5 * min(abs(c - x) for x in sings + [base] if x != c)
+             for c in sings]
+    return radii, [c + r * ((base - c) / abs(base - c))
+                   for c, r in zip(sings, radii)]
 
 
-def _approach_gap(sings: list, base: complex) -> float:
-    """Least distance from a singular point to the approach line of another
-    point's loop, in units of its own loop radius."""
-    circles = _loops(sings, base)
-    gap = math.inf
-    for k, (_, entry) in enumerate(circles):
-        d = entry - base
-        for j, c in enumerate(sings):
-            if j != k:
-                s = min(1.0, max(0.0, ((c - base) * d.conjugate()).real
-                                 / abs(d) ** 2))
-                gap = min(gap, abs(c - base - s * d) / circles[j][0])
-    return gap
+def _route(a: complex, b: complex, sings: list, radii: list) -> list:
+    """Pieces from a to b: the straight segment, except that where it
+    passes within _DETOUR radii of a point c it follows c's circle between
+    its two crossings, along the minor arc on the side it passes c
+    (counter-clockwise, c on the left, when it runs through c)."""
+    if a == b:
+        return [Line(a, b)]
+    arcs = []
+    for c, r in zip(sings, radii):
+        w, h = (c - a) / (b - a), r / abs(b - a)   # w: c with a = 0, b = 1
+        half = math.sqrt(max(h * h - w.imag ** 2, 0.0))
+        if (abs(w.imag) < _DETOUR * h and w.real - half >= -_SLACK
+                and w.real + half <= 1 + _SLACK):
+            sign = 1 if w.imag >= -_SLACK * abs(w) else -1
+            th = cmath.phase((b - a) * complex(-half, -w.imag))
+            arcs.append(Arc(c, r, th,
+                            th + 2 * sign * math.atan2(half, sign * w.imag)))
+    pieces, at = [], a
+    for arc in sorted(arcs, key=lambda arc: ((arc.center - a) / (b - a)).real):
+        pieces += [Line(at, arc.z(0.0)), arc]
+        at = arc.z(1.0)
+    return pieces + [Line(at, b)]
 
 
 def loop_paths(conn: Connection, base: complex | None = None) -> PathSpec:
@@ -141,22 +142,21 @@ def loop_paths(conn: Connection, base: complex | None = None) -> PathSpec:
     base = default_base(conn) if base is None else _as_complex(base)
     if any(abs(base - c) < 1e-12 for c in sings):
         raise SingularityTooClose("base point coincides with a singular point")
-    circles = _loops(sings, base)
-    order = sorted(range(len(sings)),
-                   key=lambda k: (cmath.phase(sings[k] - base), abs(sings[k])))
-    points, loops = [], []
+    radii, entries = _loops(sings, base)
+    # on a tie in angle the farther point comes first: its approach passes
+    # the nearer point on the right, along a counter-clockwise detour.
+    order = sorted(range(len(sings)), key=lambda k: (
+        round(cmath.phase(sings[k] - base) / _SLACK), -abs(sings[k] - base)))
+    loops = []
     for k in order:
-        c = sings[k]
-        rho, entry = circles[k]
-        th = cmath.phase(entry - c)
-        pieces = [
-            Line(base, entry),
-            Arc(c, rho, th, th + 2 * math.pi),
-            Line(entry, base),
-        ]
-        points.append(c)
-        loops.append(pieces)
-    return PathSpec(base=base, points=points, loops=loops)
+        th = cmath.phase(entries[k] - sings[k])
+        approach = _route(base, entries[k], sings, radii)
+        back = [Line(p.end, p.start) if isinstance(p, Line)
+                else Arc(p.center, p.radius, p.theta1, p.theta0)
+                for p in reversed(approach)]
+        loops.append(approach + [Arc(sings[k], radii[k], th, th + 2 * math.pi)]
+                     + back)
+    return PathSpec(base=base, points=[sings[k] for k in order], loops=loops)
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +480,10 @@ class PeriodJet:
 def _dual_frame_at(conn: Connection, t0: complex, tol: float):
     """Flat dual frame at t0 that is the identity at the default base:
     U = T^{-T}, with T the flat frame transported from the base to t0
-    along a straight segment."""
-    rhs = _TaylorStepper(conn)
-    T, diag = _transport(rhs, [Line(default_base(conn), t0)],
+    along the route that detours on the loop circles."""
+    rhs, base = _TaylorStepper(conn), default_base(conn)
+    radii = _loops(rhs.sings, base)[0]
+    T, diag = _transport(rhs, _route(base, t0, rhs.sings, radii),
                          np.eye(conn.rank, dtype=complex), tol)
     return np.linalg.inv(T).T, diag.tail_bound
 
@@ -504,7 +505,7 @@ def period_jet(conn: Connection, section: Section, t0, depth: int,
     """Jet of the pairings of the flat dual frame U = T^{-T} with the
     covariant-derivative iterates of an exact section."""
     if depth < 1:
-        raise ValueError("depth must be >= 1")
+        raise InvalidArgument("depth must be >= 1")
     conn.ensure_valid()
     z0 = _as_complex(t0)
     U, err = _dual_frame_at(conn, z0, tol)

@@ -69,8 +69,16 @@ class TestParseConnectionFile:
     @pytest.mark.parametrize("text, line, message", [
         ("rank 1\nrank 1\nsplitting 0\npoint 0 order 1\nmatrix\n0\nend\n",
          2, "duplicate rank line"),
+        ("rank 1\nsplitting 0\nsplitting 5\npoint 0 order 1\nmatrix\n0\nend\n",
+         3, "duplicate splitting line"),
         ("rank x\nsplitting 0\npoint 0 order 1\nmatrix\n0\nend\n",
          1, "rank needs one integer"),
+        ("rank 1 7\nsplitting 0\npoint 0 order 1\nmatrix\n0\nend\n",
+         1, "rank needs one integer"),
+        ("rank\nsplitting 0\npoint 0 order 1\nmatrix\n0\nend\n",
+         1, "rank needs one integer"),
+        ("rank 1\nsplitting 0\npoint 0 order 1\nmatrix extra\n0\nend\n",
+         4, "matrix takes no fields"),
         ("rank 0\nsplitting 0\npoint 0 order 1\nmatrix\n0\nend\n",
          1, "rank must be >= 1"),
         ("rank 1\nsplitting a\npoint 0 order 1\nmatrix\n0\nend\n",
@@ -244,6 +252,14 @@ class TestArguments:
         err = self._domain_error(capsys, ["achieve", str(files / "tri.conn"),
                                           "--n", "1", "--order", "-1"])
         assert "dual index -1" in err
+
+    def test_achieve_base_across_a_pole(self, files):
+        # the segment from the default base 3+i to -1-i runs through t = 1
+        code, report = run_json(["achieve", str(files / "tri.conn"), "--n",
+                                 "1", "--base=-1-1j"])
+        assert code == 0
+        jet = report["results"]["jet_magnitudes"]
+        assert max(jet[:-1]) < 1e-6 * jet[-1]
 
     def test_achieve_one_dimensional_section_space(self, files, capsys):
         err = self._domain_error(capsys, ["achieve", str(files / "euler.conn"),

@@ -39,7 +39,8 @@ from meroconn import (
     transport,
 )
 from meroconn import monodromy as monodromy_mod
-from meroconn.errors import DegenerateJet, SingularityTooClose, StepUnderflow
+from meroconn.errors import (DegenerateJet, InvalidArgument,
+                             SingularityTooClose, StepUnderflow)
 from meroconn.exactalg import gcd_poly
 from helpers import random_connection, rng_for
 
@@ -274,6 +275,11 @@ class TestIrreducibility:
 
 
 class TestPeriodJet:
+    def test_depth_below_one_is_invalid_argument(self):
+        conn = fixture("euler-half")
+        with pytest.raises(InvalidArgument, match="depth must be >= 1"):
+            period_jet(conn, Section([ONE], conn.splitting), 3.0, depth=0)
+
     def test_constant_frame_plain_derivatives(self):
         conn = zero_conn(rank=2)
         omega = Section([ONE, T], conn.splitting)
@@ -514,16 +520,84 @@ class TestDefaultBase:
             conn = fixture(name)
             assert default_base(conn) == self._unturned(conn), name
 
-    def test_turned_off_a_line_of_points(self):
-        # the unturned base lies on the line through the three points
-        conn = _rank1_layout([GaussRat(-1, -1), GaussRat(3, 1),
-                              GaussRat(5, 2)], [Fraction(0)] * 3)
-        sings = [c.to_complex() for c in conn.singular_points]
-        first, base = self._unturned(conn), default_base(conn)
-        assert monodromy_mod._approach_gap(sings, first) < 1e-12
-        assert base != first
-        assert abs(base) == pytest.approx(abs(first))
-        assert monodromy_mod._approach_gap(sings, base) >= 0.1
+
+
+class TestRoute:
+    """Approach and jet segments that would pass within a tenth of a loop
+    radius of a singular point follow its loop circle instead."""
+
+    # on and near the line through the three collinear points, and at
+    # their midpoints, where the loop circles touch
+    @pytest.mark.parametrize("base", [3, -1, -0.5, 0.5, 1.5, 2.5, 3 + 1e-14j,
+                                      3 - 1e-14j, 3 + 0.001j, 3 - 0.04j])
+    def test_base_on_the_line_of_points(self, base):
+        report = monodromy_generators(fixture("triangle-diag"), base=base)
+        assert report.defect < 1e-8
+        assert report.det_defect < 1e-8
+        assert report.irreducible.kind == "irreducible"
+        sings = report.points + [report.base]
+        least = min(0.5 * abs(a - b) for a, b in itertools.combinations(sings, 2))
+        for d in report.diagnostics:
+            assert d.min_clearance >= 0.1 * least
+
+    # Points and base on a slanted line, where the computed side of a point
+    # on an approach is roundoff: the detour and the loop order must agree.
+    # The residues are those of triangle-diag, so the generators do not
+    # commute.
+    @pytest.mark.parametrize("points, base", [
+        ([GaussRat(Fraction(-5, 2), Fraction(5, 2)),
+          GaussRat(Fraction(-1, 2), Fraction(9, 2)), GaussRat(-3, 2)],
+         -2.75 + 2.25j),
+        ([GaussRat(1, 5), GaussRat(-5, -1), GaussRat(-1, 3)], 2 + 6j),
+    ])
+    def test_base_on_a_slanted_line(self, points, base):
+        residues = [[[Fraction(1, 4), 0], [0, Fraction(-1, 4)]],
+                    [[0, 1], [Fraction(1, 16), 0]],
+                    [[Fraction(-1, 4), -1], [Fraction(-1, 16), Fraction(1, 4)]]]
+        m = [[ZERO, ZERO], [ZERO, ZERO]]
+        for c, K in zip(points, residues):
+            for i, j in itertools.product(range(2), repeat=2):
+                m[i][j] = m[i][j] + RatFun.const(K[i][j]) / RatFun(
+                    Poly([-c, GaussRat(1)]))
+        conn = Connection(SplittingType([0, 0]),
+                          Divisor([(c, 1) for c in points]), m)
+        report = monodromy_generators(conn, base=base)
+        assert report.defect < 1e-8
+        assert report.irreducible.kind == "irreducible"
+
+    def test_base_beside_a_pole(self):
+        # from 0.1 the straight approach to the loop around -1 runs through 0
+        conn = _rank1_layout([GaussRat(0), GaussRat(-1)], [Fraction(0)] * 2)
+        report = monodromy_generators(conn, base=0.1, tol=1e-10)
+        assert all(abs(T[0, 0] - 1) < 1e-12 for T in report.matrices)
+        assert min(d.min_clearance for d in report.diagnostics) >= 0.005
+
+    def test_jet_at_the_default_base(self):
+        # the route from the default base to itself is one empty segment
+        conn = fixture("triangle-diag")
+        omega = Section([ONE, T], conn.splitting)
+        t0 = default_base(conn)
+        jet = period_jet(conn, omega, t0, depth=1)
+        assert np.allclose(jet.jet, [[1, t0]], atol=1e-15)
+
+    def test_return_leg_reverses_the_approach(self):
+        spec = loop_paths(fixture("triangle-diag"), base=3)
+        # the approach to the loop around 0 detours on the circles around
+        # 2 and 1, along half circles
+        detours = [p for p in spec.loops[0] if isinstance(p, Arc)
+                   and abs(p.theta1 - p.theta0) < 2 * math.pi]
+        assert [p.center for p in detours] == [2, 1, 1, 2]
+        assert all(abs(p.theta1 - p.theta0 - math.pi) < 1e-12
+                   for p in detours[:2])
+        for loop in spec.loops:
+            z = [spec.base]
+            for piece in loop:
+                assert abs(piece.z(0.0) - z[-1]) < 1e-12
+                z.append(piece.z(1.0))
+            assert abs(z[-1] - spec.base) < 1e-12
+            half = len(loop) // 2
+            for p, q in zip(loop[:half], reversed(loop[half + 1:])):
+                assert abs(p.z(0.3) - q.z(0.7)) < 1e-12
 
 
 def _check_layout(layout):
@@ -623,9 +697,9 @@ class TestLayouts:
     def test_clustered(self, layout):
         _check_layout(layout)
 
-    # The unturned default base 1 + 5.385(1 + i/2) lies on the line through
-    # these points, so its approach line to the loop around -1-i would run
-    # through 5+2i; default_base turns it away.
+    # The default base 1 + 5.385(1 + i/2) lies on the line through these
+    # points, so its approach to the loop around -1-i runs through 5+2i and
+    # 3+i, and detours on their loop circles.
     @_LAYOUT_SETTINGS
     @given(_collinear())
     @example(([GaussRat(-1, -1), GaussRat(3, 1), GaussRat(5, 2)],
@@ -638,9 +712,10 @@ class TestLayouts:
     def test_widely_spread(self, layout):
         _check_layout(layout)
 
-    # The approach line from 0.1 to the loop around -1 runs through 0, even
-    # for M = 0.  With the base 0.01 from i, the error at 0 is 4.4e-11
-    # against a bound of 3.4e-11: the bound leaves out roundoff.
+    # The approach from 0.1 to the loop around -1 detours on the loop circle
+    # around 0, so the first layout passes.  With the base 0.01 from i, the
+    # error at 0 is 4.4e-11 against a bound of 3.4e-11: the bound leaves out
+    # roundoff (ROADMAP item 2(b)).
     @pytest.mark.xfail(strict=True,
                        raises=(SingularityTooClose, AssertionError),
                        reason="approach lines may cross a singular point; "
