@@ -29,7 +29,6 @@ from .connection import (
 from .errors import (
     DegenerateJet,
     InvalidArgument,
-    MixedFactor,
     NotASingularPoint,
     NotCyclic,
     ParseError,

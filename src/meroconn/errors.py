@@ -17,10 +17,6 @@ class SingularMatrix(ToolkitError):
     pass
 
 
-class MixedFactor(ToolkitError):
-    """An irreducible factor vanishes at an excluded point but has other roots."""
-
-
 class ZeroSection(ToolkitError):
     pass
 

@@ -14,7 +14,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
-    MixedFactor,
     ParseError,
     SingularMatrix,
     ZeroFunction,
@@ -639,13 +638,6 @@ def det_ratfun(A) -> RatFun:
     return _pivot_product(M, n, swaps)
 
 
-def linear_root(p: Poly) -> GaussRat:
-    """Root of a degree-1 polynomial."""
-    if p.deg != 1:
-        raise ValueError("not a linear polynomial")
-    return -p[0] / p[1]
-
-
 def rational_roots(p: Poly):
     """Gaussian-rational roots of p with multiplicities.
 
@@ -657,20 +649,22 @@ def rational_roots(p: Poly):
     """
     if p.is_zero():
         raise ZeroPolynomial("zero polynomial has every point as a root")
-    return [(root, mult) for _, mult, roots in _root_factors(p)
+    return [(root, mult) for _, mult, roots, _ in _root_factors(p)
             for root in roots]
 
 
 def _root_factors(p: Poly) -> list:
-    """(factor, multiplicity, rational roots of factor) for each Yun factor
-    of p, with the roots found and certified as in rational_roots."""
+    """(factor, multiplicity, rational roots, other roots) for each Yun
+    factor of p: the rational roots found and certified as in
+    rational_roots, and the numeric roots that no window certified, as
+    complex numbers sorted by (real, imag)."""
     out = []
     windows = (10, 10 ** 2, 10 ** 4, 10 ** 6, 10 ** 9)
     # the roots of a squarefree factor are simple, so np.roots finds them to
     # near full precision; each root of factor has multiplicity mult in p
     for factor, mult in squarefree_decompose(p):
         coeffs = [factor[k].to_complex() for k in range(factor.deg, -1, -1)]
-        roots, seen = [], set()
+        roots, other, seen = [], [], set()
         for z in np.roots(coeffs):
             for window in windows:
                 cand = GaussRat(Fraction(z.real).limit_denominator(window),
@@ -681,39 +675,27 @@ def _root_factors(p: Poly) -> list:
                 if factor.eval(cand).is_zero():
                     roots.append(cand)
                     break
-        out.append((factor, mult, roots))
+            else:
+                other.append(complex(z))
+        out.append((factor, mult, roots,
+                    sorted(other, key=lambda z: (z.real, z.imag))))
     return out
 
 
 def max_zero_multiplicity(r: RatFun, excluded=()):
     """Maximal zero multiplicity of r away from `excluded`, plus the
-    squarefree profile of the numerator with excluded linear factors removed.
-
-    A nonlinear irreducible-over-the-profile factor vanishing at an excluded
-    point also has other roots, which cannot be separated exactly; that case
-    raises MixedFactor.
-    """
+    squarefree profile (factor, mult) of the numerator with the excluded
+    roots divided out; factors left constant are dropped."""
     if r.is_zero():
         raise ZeroFunction("zero function has no zero multiplicities")
-    return _zero_profile(squarefree_decompose(r.num), excluded)
-
-
-def _zero_profile(factors, excluded):
-    """max_zero_multiplicity from the Yun factors (factor, mult) of the
-    numerator."""
     excluded = {_coerce(e) for e in excluded}
     profile = []
-    best = 0
-    for factor, mult in factors:
-        if factor.deg == 1 and linear_root(factor) in excluded:
-            continue
-        if factor.deg > 1 and any(factor.eval(e).is_zero() for e in excluded):
-            raise MixedFactor(
-                f"factor {factor} vanishes at an excluded point but has other roots"
-            )
-        profile.append((factor, mult))
-        best = max(best, mult)
-    return best, profile
+    for factor, mult in squarefree_decompose(r.num):
+        for e in excluded:
+            factor = factor.split_root(e)[1]
+        if factor.deg > 0:
+            profile.append((factor, mult))
+    return max((mult for _, mult in profile), default=0), profile
 
 
 # ---------------------------------------------------------------------------

@@ -117,15 +117,18 @@ def _route(a: complex, b: complex, sings: list, radii: list) -> list:
     """Pieces from a to b: the straight segment, except that where it
     passes within _DETOUR radii of a point c it follows c's circle between
     its two crossings, along the minor arc on the side it passes c
-    (counter-clockwise, c on the left, when it runs through c)."""
+    (counter-clockwise, c on the left, when it runs through c).  When b
+    lies inside c's circle beyond c, the arc ends at the far crossing and
+    the segment goes straight back in to b."""
     if a == b:
         return [Line(a, b)]
     arcs = []
     for c, r in zip(sings, radii):
         w, h = (c - a) / (b - a), r / abs(b - a)   # w: c with a = 0, b = 1
         half = math.sqrt(max(h * h - w.imag ** 2, 0.0))
-        if (abs(w.imag) < _DETOUR * h and w.real - half >= -_SLACK
-                and w.real + half <= 1 + _SLACK):
+        if abs(w.imag) < _DETOUR * h and w.real - half >= -_SLACK and (
+                w.real + half <= 1 + _SLACK
+                or w.real <= 1 and abs(w - 1) < h):
             sign = 1 if w.imag >= -_SLACK * abs(w) else -1
             th = cmath.phase((b - a) * complex(-half, -w.imag))
             arcs.append(Arc(c, r, th,

@@ -12,8 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bundle import (
     Divisor,
     Section,
@@ -37,7 +35,6 @@ from .exactalg import (
     _pivot_product,
     _root_factors,
     _row_echelon,
-    _zero_profile,
     det_ratfun,
     max_zero_multiplicity,
     rational_roots,
@@ -133,7 +130,12 @@ def generation_bound(conn: Connection, section: Section) -> int:
 
 def _index_at(conn: Connection, its: list, b: GaussRat, cap: int) -> int:
     """Smallest h <= cap such that the iterates its[:h] span the fiber at
-    b; extends its in place as far as needed."""
+    b; extends its in place as far as needed.
+
+    A cap of ord_b W + rank always suffices, W the Wronskian: in a
+    suitable flat frame near b the section's components vanish at b to
+    distinct orders e_1 < ... < e_rank, the index is e_rank + 1, and
+    e_rank - (rank - 1) <= sum_i (e_i - (i - 1)) = ord_b W."""
     vectors = []
     for h in range(1, cap + 1):
         if h > len(its):
@@ -153,7 +155,9 @@ def generation_index_at(conn: Connection, section: Section, b) -> int:
     if b in set(conn.singular_points):
         raise SingularEvaluationPoint(f"t = {b} is a singular point")
     its, a = _wronskian_iterates(conn, section)
-    return _index_at(conn, its, b, _generation_cap(conn, a))
+    if a.is_zero():
+        raise DegenerateSection("Wronskian vanishes identically")
+    return _index_at(conn, its, b, a.num.root_multiplicity(b) + conn.rank)
 
 
 def spanning_sections(conn: Connection, E: Divisor):
@@ -220,15 +224,11 @@ def estimate_H(conn: Connection, n: int, E: Divisor, samples: int,
         if a.is_zero():
             # reducibility witness; the sampled estimate ignores it
             continue
-        # the iterates and the cap serve every rational zero off the
-        # singular set; the cap is taken only when there is such a zero,
-        # since _zero_profile may refuse the Wronskian (MixedFactor)
-        factors = _root_factors(a.num)
-        roots = [b for _, _, rs in factors for b in rs if b not in sing]
-        cap = (_zero_profile([(f, m) for f, m, _ in factors], sing)[0]
-               + alpha if roots else 0)
-        observed = max((_index_at(conn, its, b, cap) for b in roots),
-                       default=alpha)
+        # the iterates serve every rational zero b off the singular set,
+        # each capped by its own multiplicity (see _index_at)
+        observed = max((_index_at(conn, its, b, mult + alpha)
+                        for _, mult, roots, _ in _root_factors(a.num)
+                        for b in roots if b not in sing), default=alpha)
         if observed > max_observed:
             max_observed = observed
             witness = str(omega)
@@ -305,7 +305,8 @@ def _residue_records(conn: Connection, a: RatFun, ode: ScalarODE,
     p1 = ode.coeffs[-1]
     tr_res = conn.validate().trace_residues
     # rational zeros and poles of the Wronskian, then the divisor, each once
-    points = dict.fromkeys([root for _, _, roots in factors for root in roots]
+    points = dict.fromkeys([root for _, _, roots, _ in factors
+                            for root in roots]
                            + [root for root, _ in rational_roots(a.den)]
                            + list(tr_res))
     records = []
@@ -334,8 +335,8 @@ class ApparentReport:
 
 def apparent_singularities(conn: Connection, section: Section) -> ApparentReport:
     """Classify the zeros of the Wronskian away from the divisor: exact
-    records at Gaussian-rational zeros, clustered double-precision records
-    (flagged) elsewhere."""
+    records at Gaussian-rational zeros, double-precision records (flagged
+    inexact) at the others."""
     a, ode = _reduce(conn, section)
     return _apparent_report(conn, ode, _root_factors(a.num))
 
@@ -346,9 +347,8 @@ def _apparent_report(conn: Connection, ode: ScalarODE,
     alpha = conn.rank
     sing = set(conn.singular_points)
     records = []
-    for factor, mult, roots in factors:
+    for _, mult, roots, other in factors:
         for root in roots:
-            _, factor = factor.split_root(root)
             if root in sing:
                 continue
             res = residue(p1, root)
@@ -357,18 +357,10 @@ def _apparent_report(conn: Connection, ode: ScalarODE,
             records.append(ApparentRecord(location=root, val_wronskian=mult,
                                           res_log_coeff=res, phi_bound=phi,
                                           exact=True))
-        if factor.deg >= 1:
-            coeffs = [c.to_complex() for c in reversed(factor.coeffs)]
-            roots = np.roots(coeffs)
-            # squarefree factors have simple roots; cluster defensively
-            kept = []
-            for z in sorted(roots, key=lambda z: (z.real, z.imag)):
-                if all(abs(z - w) > 1e-8 for w in kept):
-                    kept.append(complex(z))
-            for z in kept:
-                resz = p1.num.ceval(z) / p1.den.derivative().ceval(z)
-                records.append(ApparentRecord(location=z, val_wronskian=mult,
-                                              res_log_coeff=resz,
-                                              phi_bound=resz.real + alpha - 1,
-                                              exact=False))
+        for z in other:
+            resz = p1.num.ceval(z) / p1.den.derivative().ceval(z)
+            records.append(ApparentRecord(location=z, val_wronskian=mult,
+                                          res_log_coeff=resz,
+                                          phi_bound=resz.real + alpha - 1,
+                                          exact=False))
     return ApparentReport(records=records)

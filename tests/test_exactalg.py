@@ -27,7 +27,6 @@ from meroconn import (
 from meroconn import exactalg
 from meroconn.exactalg import _row_echelon, gcd_poly
 from meroconn.errors import (
-    MixedFactor,
     ParseError,
     SingularMatrix,
     ZeroFunction,
@@ -196,12 +195,11 @@ class TestMaxZeroMultiplicity:
         roots = sorted(np.roots(coeffs).real)
         assert np.allclose(roots, [-2 ** 0.5, -2 ** 0.5, 2 ** 0.5, 2 ** 0.5])
 
-    def test_mixed_factor_raises(self):
-        # t(t-1) stays a single squarefree factor; excluding one of its
-        # roots cannot be done exactly without factorization
+    def test_mixed_factor_divides_out(self):
+        # t(t-1) stays a single squarefree factor; the excluded root is
+        # divided out of it exactly
         r = RatFun(T * (T - ONE))
-        with pytest.raises(MixedFactor):
-            max_zero_multiplicity(r, {GaussRat(0)})
+        assert max_zero_multiplicity(r, {GaussRat(0)}) == (1, [(T - ONE, 1)])
 
 
 class TestRationalRoots:
@@ -245,6 +243,35 @@ def test_split_root_against_from_roots(c, k, others, lead):
     p = Poly.from_roots([c] * k) * cofactor
     assert p.split_root(c) == (k, cofactor)
     assert p.root_multiplicity(c) == k
+
+
+gauss_rat = st.builds(
+    GaussRat,
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(gauss_rat, st.integers(min_value=1, max_value=3),
+                          st.booleans()),
+                max_size=4, unique_by=lambda rmx: rmx[0]),
+       st.integers(min_value=0, max_value=3), gauss_rat.filter(bool))
+def test_max_zero_multiplicity_by_construction(linear, quad_mult, lead):
+    # r = lead * (t^2 - 2)^quad_mult * prod (t - root)^mult; the roots
+    # drawn as excluded leave the profile, each other root stays in the
+    # factor of its multiplicity
+    quad = T ** 2 - Poly.const(2)
+    num = quad ** quad_mult * lead
+    factors = {quad_mult: quad} if quad_mult else {}
+    for root, mult, excluded in linear:
+        num = num * Poly.from_roots([root]) ** mult
+        if not excluded:
+            factors[mult] = factors.get(mult, ONE) * Poly.from_roots([root])
+    mu, profile = max_zero_multiplicity(
+        RatFun(num), {root for root, _, excluded in linear if excluded})
+    assert mu == max(factors, default=0)
+    assert profile == sorted(((f, m) for m, f in factors.items()),
+                             key=lambda fm: fm[1])
 
 
 @settings(max_examples=40, deadline=None)

@@ -580,6 +580,23 @@ class TestRoute:
         jet = period_jet(conn, omega, t0, depth=1)
         assert np.allclose(jet.jet, [[1, t0]], atol=1e-15)
 
+    # inside the loop circle around 1 (radius 1/2), just past 1 on the ray
+    # from the default base 3+i: the segment leaves the circle at its far
+    # crossing and comes straight back in
+    @pytest.mark.parametrize("dist", [0.1, 0.3])
+    def test_jet_point_past_a_pole(self, dist):
+        conn = fixture("triangle-diag")
+        u = (1 - default_base(conn)) / abs(1 - default_base(conn))
+        t0 = 1 + dist * u
+        omega = Section([ONE, T], conn.splitting)
+        jet = period_jet(conn, omega, t0, depth=2)
+        assert jet.transport_error < 1e-10
+        ode = cyclic_reduce(conn, omega)
+        assert ode_residual(conn, omega, ode, t0) < 1e-8
+        omega, jet = achieve_with_jet(conn, parse_divisor("inf^1"), t0)
+        top = abs(jet.jet[-1, 0])
+        assert np.max(np.abs(jet.jet[:-1, 0])) < 1e-7 * top
+
     def test_return_leg_reverses_the_approach(self):
         spec = loop_paths(fixture("triangle-diag"), base=3)
         # the approach to the loop around 0 detours on the circles around

@@ -162,6 +162,32 @@ class TestGenerationBound:
         with pytest.raises(SingularEvaluationPoint):
             generation_index_at(conn, omega, 0)
 
+    # Wronskians with one squarefree factor that vanishes at a singular
+    # point and off the singular set: t(t-3) on euler-half, and
+    # 59/4 t (t - 24/59)/((t-1)(t-2)) on triangle-diag
+    def test_zero_sharing_a_factor_with_a_pole(self):
+        conn = fixture("euler-half")
+        omega = Section([T * (T - RatFun.const(3))], conn.splitting)
+        assert generation_index_at(conn, omega, 3) == 2
+        conn = fixture("triangle-diag")
+        omega = Section([T * RatFun.const(2), T * RatFun.const(3)],
+                        conn.splitting)
+        assert generation_index_at(conn, omega,
+                                   GaussRat(Fraction(24, 59))) == 3
+
+    @pytest.mark.parametrize("name, section, bound", [
+        ("euler-half", "t*(t-3)", 2),
+        ("triangle-diag", "2*t,3*t", 3),
+    ])
+    def test_cli_zero_sharing_a_factor_with_a_pole(self, tmp_path, name,
+                                                   section, bound):
+        path = tmp_path / f"{name}.conn"
+        path.write_text(fixture_file(name))
+        code, report = run_json(["wronskian", str(path),
+                                 f"--section={section}"])
+        assert code == 0
+        assert report["results"]["generation_bound"] == bound
+
 
 class TestCyclicReduce:
     def test_free_rank2(self):
@@ -324,6 +350,14 @@ class TestEstimateH:
         report = estimate_H(conn, 2, parse_divisor("inf^2"), 50, seed=7)
         assert report.bound == 3
         assert report.max_observed_generation == 3
+        assert not report.violated
+
+    # samples whose Wronskian has one squarefree factor vanishing at a pole
+    # and off the singular set
+    @pytest.mark.parametrize("seed", [1, 30, 36])
+    def test_euler_zero_sharing_a_factor_with_a_pole(self, seed):
+        conn = fixture("euler-half")
+        report = estimate_H(conn, 2, parse_divisor("inf^2"), 20, seed=seed)
         assert not report.violated
 
     def test_triangle_constant_sections(self):
