@@ -3,12 +3,16 @@
 Flat sections solve v' = -M(t) v.  Flat dual sections solve u' = M(t)^T u,
 which keeps U^T T constant, so the dual frame is taken as U = T^{-T} from
 the flat frame T rather than transported.  Transport writes the system as
-q Y' = -P Y (q the monic common denominator of M, P = q M) and sums the
-Taylor series of each step by its recurrence (van der Hoeven, "Fast
-evaluation of holonomic functions", 1999).  Steps are chords no longer
-than a third of the distance to the nearest singular point, and each
-stops at the first order whose certified truncation bound is at most tol
-times its share of the piece, or 1e-15 |Y|.  A report's transport error
+q Y' = -P Y (q the monic common denominator of M, P = q M) and sums Taylor
+series by their recurrence (van der Hoeven, "Fast evaluation of holonomic
+functions", 1999).  A path is cut into chords fixed by its geometry: none
+longer than a third of the distance to the nearest singular point.  One
+batched recurrence forms, for every chord of the path at once, the series
+of the frame that is the identity at the chord's start, with the certified
+truncation bound of each partial sum.  A walk along the chords multiplies
+Y by each chord's partial sum at the first order K whose bound times |Y|
+(|Z_k Y| <= |Z_k| |Y| in the infinity norm) is at most tol times the
+chord's share of its piece, or 1e-15 |Y|.  A report's transport error
 sums these bounds; roundoff and the growth of earlier errors are not in
 it, and det_defect shows them.  Each generator also reports its steps,
 largest order, least clearance and summed bound (TransportDiagnostics).
@@ -186,7 +190,7 @@ class _TaylorStepper:
     validated pole orders, and P = q M, as complex coefficient arrays."""
 
     def __init__(self, conn: Connection):
-        n = conn.rank
+        self.rank = conn.rank
         orders = conn.validate().pole_orders
         q = Poly.from_roots([c for c, k in orders.items() for _ in range(k)])
         self.roots = [(c.to_complex(), k) for c, k in orders.items() if k]
@@ -199,62 +203,84 @@ class _TaylorStepper:
         j = np.arange(deg + 1)
         self.binom = np.array([[math.comb(i, r) for i in j] for r in j])
         self.lag, self.powers = np.maximum(j - j[:, None], 0), j[:, None]
-        self.eye = np.eye(n)[:, None, :]
-        self.ks = np.arange(_MAX_ORDER + 2.0)
-        # row k: [1 / (k+1), 1], the factors of Z_{k+1} and (k+1) Z_{k+1}
-        self.factors = np.ones((_MAX_ORDER, 2, 1, 1))
-        self.factors[:, 0, 0, 0] = 1 / self.ks[1:-1]
+
+
+class _Series:
+    """Taylor coefficients Z_0 ... Z_order of the frames Y(z + h s) with
+    Y(z) = I, for a batch of chords from z to z + h at once, and the tail
+    bound of each partial sum Z_0 + ... + Z_K.  The coefficients follow
+    q_0 (k+1) Z_{k+1} = -sum_j P_j Z_{k-j} - sum_{j>=1} q_j (k+1-j) Z_{k+1-j},
+    with P_j, q_j those of h P(z + h s) and q(z + h s)."""
 
     @np.errstate(over="ignore", invalid="ignore")
-    def step(self, z0: complex, h: complex, y0: np.ndarray, target: float,
-             order: int):
-        """(Y(z0 + h), K, bound) from Y(z0) = y0, an n x m matrix.  The
-        coefficients Z_k of Y(z0 + h s) follow
-        q_0 (k+1) Z_{k+1} = -sum_j P_j Z_{k-j} - sum_{j>=1} q_j (k+1-j) Z_{k+1-j},
-        with P_j, q_j those of h P(z0 + h s) and q(z0 + h s).  At least
-        `order` terms are formed; the sum stops at the first order K whose
-        tail bound is <= target."""
-        (n, m), L, top = y0.shape, len(self.lag), len(self.factors)
-        deg = L - 1
-        S = (self.binom * z0 ** self.lag * h ** self.powers) @ self.coeffs
-        Pj, qj = S[:, :-1].reshape(L, n, n) * h, S[:, -1]
-        pn, qa = np.abs(Pj).sum(axis=2).max(axis=1), np.abs(qj)
-        # On the chord |q| >= qmin and |h M| <= A = sum_j |P_j| / qmin.  The
+    def __init__(self, rhs: _TaylorStepper, z: np.ndarray, h: np.ndarray):
+        S, n, L = len(z), rhs.rank, len(rhs.lag)
+        zs, hs = z[:, None, None], h[:, None, None]
+        C = (rhs.binom * zs ** rhs.lag * hs ** rhs.powers) @ rhs.coeffs
+        P, q = C[..., :-1].reshape(S, L, n, n) * hs[..., None], C[..., -1]
+        pn, qa = np.abs(P).sum(axis=3).max(axis=2), np.abs(q)
+        # On a chord |q| >= qmin and |h M| <= A = sum_j |P_j| / qmin.  The
         # residual R = q Y' + P Y of Z_0 + ... + Z_K starts at s^K, so by
         # Gronwall its error is at most e^A / qmin * sum_k |R_k| / (k + 1),
         # and sum_k |R_k| <= sum_i |Z_i| (sum_{j>=K-i} |P_j|
         #                                 + i sum_{j>K-i} |q_j|).
-        # Past A = 709 the factor is inf, and no order meets the target.
-        lq = sum(k * math.log(abs(z0 - c) - abs(h)) for c, k in self.roots)
-        pre = np.exp(pn.sum() * np.exp(-lq) - lq)
-        Ps, Qs = np.cumsum(pn[::-1])[::-1], np.cumsum(qa[::-1])[::-1] - qa
-        # X[i + deg] = [Z_i; i Z_i], and G @ X[k : k + L] is the sum on the
-        # right of the recurrence
-        G = np.zeros((n, L, 2, n), dtype=complex)
-        G[:, :, 0, :] = Pj[::-1].transpose(1, 0, 2)
-        G[:, 1:, 1, :] = qj[:0:-1, None] * self.eye
-        X = np.zeros((L + top, 2, n, m), dtype=complex)
-        X[deg, 0] = y0
-        G, rows = G.reshape(n, -1), X.reshape(-1, m)
-        w = self.factors * (-1 / qj[0])
-        done, order = 0, max(1, min(order, top))
-        while True:
-            for k in range(done, order):
-                np.multiply(G @ rows[2 * n * k:2 * n * (k + L)], w[k],
-                            out=X[k + L])
-            done, Z = order, X[deg:deg + order + 1, 0]
-            zn = np.abs(Z).sum(axis=2).max(axis=1)
-            r = (np.convolve(zn, Ps)[:order + 1]
-                 + np.convolve(self.ks[:order + 1] * zn, Qs)[:order + 1])
-            bounds = pre * r / self.ks[1:order + 2]
-            ok = np.flatnonzero(bounds <= target)
-            if ok.size:
-                K = int(ok[0])
-                return Z[:K + 1].sum(axis=0), K, float(bounds[K])
-            if order == top:
-                raise StepUnderflow(
-                    f"no order up to {top} meets the tail target")
-            order = min(top, order + max(4, order // 2))
+        # Past A = 709 the factor is inf, and no order meets a target.
+        lq = sum(k * np.log(np.abs(z - c) - np.abs(h)) for c, k in rhs.roots)
+        self.pre = np.exp(pn.sum(axis=1) * np.exp(-lq) - lq)
+        Ps = np.cumsum(pn[:, ::-1], axis=1)[:, ::-1]
+        Qs = np.cumsum(qa[:, ::-1], axis=1)[:, ::-1] - qa
+        self.PQ = np.stack([Ps, Qs], axis=1)[:, :, ::-1, None]
+        # With Q_m = q_{m+1}, the right-hand side is
+        # -sum_m (P_m - m Q_m + k Q_m) Z_{k-m}.  G @ [Z_{k+1-L}; ...; Z_k]
+        # stacks the two sums, without and with k, each divided by q_0.
+        Q = np.zeros_like(q)
+        Q[:, :-1] = q[:, 1:]
+        eye = np.eye(n)
+        G = np.stack([P - (np.arange(L) * Q)[..., None, None] * eye,
+                      Q[..., None, None] * eye], axis=1)
+        G /= -q[:, 0, None, None, None, None]
+        self.G = G[:, :, ::-1].transpose(0, 1, 3, 2, 4).reshape(S, 2 * n, -1)
+        # X[:, L - 1 + k] = Z_k, after L - 1 zero coefficients
+        self.X = np.zeros((S, L, n, n), dtype=complex)
+        self.X[:, L - 1] = eye
+        self.L, self.order = L, 0
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def extend(self, order: int):
+        """Form the coefficients up to Z_order, and the bounds of the
+        partial sums up to that order."""
+        (S, _, n, _), L, done = self.X.shape, self.L, self.order
+        X = np.zeros((S, L + order, n, n), dtype=complex)
+        X[:, :L + done] = self.X
+        rows, flat = X.reshape(S, -1, n), X.reshape(S, L + order, 1, n * n)
+        for k in range(done, order):
+            # Z_{k+1} = (first sum + k second sum) / (k + 1)
+            R = self.G @ rows[:, k * n:(k + L) * n]
+            np.matmul([[1 / (k + 1), k / (k + 1)]], R.reshape(S, 2, -1),
+                      out=flat[:, k + L])
+        self.X, self.order = X, order
+        self.Z = X[:, L - 1:]
+        # r[K] = sum_{j<L} |Z_{K-j}| Ps[j] + (K-j) |Z_{K-j}| Qs[j]
+        ks = np.arange(order + 1)
+        zn = np.zeros((S, 2, L - 1 + order + 1))
+        zn[:, 0, L - 1:] = np.abs(self.Z).sum(axis=3).max(axis=2)
+        zn[:, 1, L - 1:] = ks * zn[:, 0, L - 1:]
+        r = (zn[:, :, ks[:, None] + np.arange(L)] @ self.PQ).sum(axis=1)
+        self.bounds = self.pre[:, None] * r[..., 0] / (ks + 1)
+
+
+def _grow(series: _Series, order: int, fits):
+    """Extend the series from `order` terms, by half again each time,
+    until fits(bounds) holds; past _MAX_ORDER raise StepUnderflow."""
+    top = _MAX_ORDER
+    order = max(1, min(order, top))
+    while True:
+        series.extend(order)
+        if fits(series.bounds):
+            return
+        if order == top:
+            raise StepUnderflow(f"no order up to {top} meets the tail target")
+        order = min(top, order + max(4, order // 2))
 
 
 def _check_tol(tol: float):
@@ -263,42 +289,73 @@ def _check_tol(tol: float):
         raise InvalidArgument(f"tol must be positive, got {tol}")
 
 
-def _transport(rhs: _TaylorStepper, pieces, y0: np.ndarray, tol: float):
-    """(value at the end of the pieces, TransportDiagnostics).  Pieces are
-    walked along chords no longer than a third of the distance to the
-    nearest singular point.  A step's tail bound is at most tol times its
-    share of the piece (times |Y| when |Y| < 1), or the roundoff floor."""
-    _check_tol(tol)
-    y0 = np.asarray(y0, dtype=complex)
-    y = y0.reshape(len(y0), -1)
-    diag = TransportDiagnostics()
-    order = max(1, math.ceil(-math.log(max(tol, _ROUNDOFF)) / math.log(3)))
+def _chords(sings: list, pieces) -> list:
+    """(z, h, ds, rho) of each step along the pieces: chords from z to
+    z + h, ds in piece parameter, no longer than a third of rho, the
+    distance from z to the nearest singular point."""
+    chords = []
     for piece in pieces:
         speed, s = abs(piece.dz(0.0)), 0.0
         while s < 1.0:
             z = piece.z(s)
-            rho = min((abs(z - c) for c in rhs.sings), default=math.inf)
+            rho = min((abs(z - c) for c in sings), default=math.inf)
             if rho < _MIN_CLEARANCE:
                 raise SingularityTooClose(
                     f"path point {z} is within {rho:.2e} of a singular point")
             ds = min(1.0 - s, rho / (3 * speed)) if speed > 0 else 1.0 - s
-            end = 1.0 if ds >= 1.0 - s else s + ds
-            ynorm = float(np.abs(y).sum(axis=1).max())
-            target = max(tol * ds * min(1.0, ynorm), _ROUNDOFF * ynorm)
-            # each step forms one term more than the last one needed
-            y, K, bound = rhs.step(z, piece.z(end) - z, y, target, order)
-            order, s = K + 1, end
-            diag.steps += 1
-            diag.max_order = max(diag.max_order, K)
-            diag.min_clearance = min(diag.min_clearance, rho)
-            diag.tail_bound += bound
+            s = 1.0 if ds >= 1.0 - s else s + ds
+            chords.append((z, piece.z(s) - z, ds, rho))
+    return chords
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _transport(rhs: _TaylorStepper, pieces, y0: np.ndarray, tol: float):
+    """(value at the end of the pieces, TransportDiagnostics).  One batched
+    recurrence gives every chord's series from the identity; the walk then
+    multiplies Y by the partial sum of each chord's first order K whose
+    bound, times |Y|, is at most tol times the chord's share of its piece
+    (times |Y| when |Y| < 1), or the roundoff floor."""
+    _check_tol(tol)
+    y0 = np.asarray(y0, dtype=complex)
+    y = y0.reshape(len(y0), -1)
+    diag = TransportDiagnostics()
+    chords = _chords(rhs.sings, pieces)
+    if not chords:
+        return y0, diag
+    z, h, ds, rho = (np.array(c) for c in zip(*chords))
+    series = _Series(rhs, z, h)
+    # every chord forms the terms its loosest target, at |Y| <= 1, needs
+    loose = np.maximum(tol * ds, _ROUNDOFF)[:, None]
+    _grow(series, math.ceil(-math.log(max(tol, _ROUNDOFF)) / math.log(3)),
+          lambda b: (b <= loose).any(axis=1).all())
+    for i in range(len(z)):
+        ynorm = float(np.abs(y).sum(axis=1).max())
+        target = max(tol * ds[i] * min(1.0, ynorm), _ROUNDOFF * ynorm)
+        part, j = series, i
+        if not (series.bounds[i] * ynorm <= target).any():
+            # the chord alone forms more terms
+            part, j = _Series(rhs, z[i:i + 1], h[i:i + 1]), 0
+            _grow(part, series.order, lambda b: (b * ynorm <= target).any())
+        bounds = part.bounds[j] * ynorm
+        K = int(np.argmax(bounds <= target))
+        y = part.Z[j, :K + 1].sum(axis=0) @ y
+        diag.steps += 1
+        diag.max_order = max(diag.max_order, K)
+        diag.min_clearance = min(diag.min_clearance, rho[i])
+        diag.tail_bound += float(bounds[K])
     return y.reshape(y0.shape), diag
 
 
 def transport(conn: Connection, path, v0, tol: float = 1e-12) -> np.ndarray:
     """Continue the flat-section system v' = -M v along a path (a piece or
-    a list of pieces); returns the endpoint value."""
+    a list of pieces) from v0, a vector or a matrix of rank rows; returns
+    the endpoint value."""
     conn.ensure_valid()
+    v0 = np.asarray(v0, dtype=complex)
+    if v0.ndim not in (1, 2) or len(v0) != conn.rank:
+        raise InvalidArgument(
+            f"transport starts from rank {conn.rank} rows, a vector or a "
+            f"matrix; v0 has shape {v0.shape}")
     pieces = [path] if isinstance(path, (Line, Arc)) else list(path)
     rhs = _TaylorStepper(conn)
     return _transport(rhs, pieces, v0, tol)[0]

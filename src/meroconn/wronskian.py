@@ -154,6 +154,8 @@ def generation_index_at(conn: Connection, section: Section, b) -> int:
     b = _coerce(b)
     if b in set(conn.singular_points):
         raise SingularEvaluationPoint(f"t = {b} is a singular point")
+    if any(c.den.eval(b).is_zero() for c in section.comps):
+        raise SingularEvaluationPoint(f"t = {b} is a pole of the section")
     its, a = _wronskian_iterates(conn, section)
     if a.is_zero():
         raise DegenerateSection("Wronskian vanishes identically")

@@ -4,6 +4,7 @@ import cmath
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -97,6 +98,21 @@ class TestTransport:
             errs.append(abs(out[0] - exact))
         for coarse, fine in zip(errs, errs[1:]):
             assert fine <= coarse / 2 or fine < 1e-13
+
+    @pytest.mark.parametrize("v0", [[1.0], [1.0, 2.0, 3.0], np.eye(3),
+                                    np.ones((2, 2, 1)), 1.0])
+    def test_start_of_wrong_shape(self, v0):
+        with pytest.raises(InvalidArgument, match=r"rank 2.*shape"):
+            transport(fixture("triangle-diag"), Line(3 + 1j, 4 + 1j), v0)
+
+    def test_vector_and_matrix_starts(self):
+        conn, path = fixture("triangle-diag"), Line(3 + 1j, 4 + 1j)
+        frame = transport(conn, path, np.eye(2))
+        assert frame.shape == (2, 2)
+        v = transport(conn, path, [1.0, 2.0])
+        assert v.shape == (2,)
+        assert np.max(np.abs(v - frame @ [1.0, 2.0])) < 1e-10
+        assert transport(conn, path, np.eye(2)[:, :1]).shape == (2, 1)
 
     def test_order_cap_raises_step_underflow(self, monkeypatch):
         monkeypatch.setattr(monodromy_mod, "_MAX_ORDER", 3)
@@ -381,13 +397,24 @@ def _mp_poly_at(coeffs, z0):
 
 
 def _mp_loop_generators(conn, dps=30):
-    """Each loop's flat frame in dps-digit arithmetic: the Taylor series
-    of q Y' = -P Y at every step (q the product of the distinct entry
+    """Each loop's flat frame to dps digits: the Taylor series of
+    q Y' = -P Y at every step (q the product of the distinct entry
     denominators), summed until three terms in a row fall below
-    10^-(dps+2), with steps of a quarter of the clearance."""
+    10^-(dps+2), with steps of a quarter of the clearance.  Path points and
+    the coefficients at each step come from dps-digit mpmath; the series
+    runs on complex fixed-point integers with 10 bits more than dps
+    digits, so that each product and sum is exact and each new
+    coefficient is rounded once."""
     def mpc(g):
         return mpmath.mpc(mpmath.mpf(g.re.numerator) / g.re.denominator,
                           mpmath.mpf(g.im.numerator) / g.im.denominator)
+
+    bits = math.ceil(dps * math.log2(10)) + 10
+    one = 1 << bits
+
+    def fix(z):
+        return (int(mpmath.nint(z.real * one)),
+                int(mpmath.nint(z.imag * one)))
 
     n = conn.rank
     with mpmath.workdps(dps):
@@ -398,10 +425,10 @@ def _mp_loop_generators(conn, dps=30):
                for e in row] for row in conn.matrix]
         qc = [mpc(c) for c in q.coeffs]
         sings = [mpc(c) for c in conn.singular_points]
-        tiny = mpmath.mpf(10) ** -(dps + 2)
+        tiny = one // 10 ** (dps + 2)
         out = []
         for loop in loop_paths(conn).loops:
-            Y = [[mpmath.mpc(int(i == j)) for j in range(n)] for i in range(n)]
+            Y = [[(one * (i == j), 0) for j in range(n)] for i in range(n)]
             for piece in loop:
                 if isinstance(piece, Line):
                     a, b = mpmath.mpc(piece.start), mpmath.mpc(piece.end)
@@ -420,42 +447,109 @@ def _mp_loop_generators(conn, dps=30):
                     rho = min(abs(z0 - c) for c in sings)
                     s1 = min(mpmath.mpf(1), s + rho / (4 * length))
                     h = at(s1) - z0
-                    Pj = [[[v * h ** (k + 1) for k, v in
+                    Pj = [[[fix(v * h ** (k + 1)) for k, v in
                             enumerate(_mp_poly_at(Pc[i][l], z0))]
                            for l in range(n)] for i in range(n)]
-                    qj = [v * h ** k for k, v in enumerate(_mp_poly_at(qc, z0))]
+                    qs = _mp_poly_at(qc, z0)
+                    qj = [fix(v * h ** k) for k, v in enumerate(qs)]
+                    inv_re, inv_im = fix(-1 / qs[0])
                     Z = [Y]
                     total = [row[:] for row in Y]
                     small = 0
                     k = 0
                     while small < 3:
-                        nxt = [[mpmath.mpc(0)] * n for _ in range(n)]
+                        # q_0 (k+1) Z_{k+1} = -sum_j P_j Z_{k-j}
+                        #                     - sum_{j>=1} q_j (k+1-j) Z_{k+1-j}
+                        nxt = []
                         for i in range(n):
+                            row = []
                             for col in range(n):
-                                acc = mpmath.mpc(0)
+                                re = im = 0
                                 for l in range(n):
-                                    for jj, c in enumerate(Pj[i][l][:k + 1]):
-                                        acc += c * Z[k - jj][l][col]
+                                    for jj, (a, b) in enumerate(
+                                            Pj[i][l][:k + 1]):
+                                        c, d = Z[k - jj][l][col]
+                                        re += a * c - b * d
+                                        im += a * d + b * c
                                 for jj in range(1, min(k + 1, len(qj) - 1) + 1):
-                                    acc += qj[jj] * (k + 1 - jj) \
-                                        * Z[k + 1 - jj][i][col]
-                                nxt[i][col] = -acc / (qj[0] * (k + 1))
+                                    (a, b), w = qj[jj], k + 1 - jj
+                                    c, d = Z[k + 1 - jj][i][col]
+                                    re += w * (a * c - b * d)
+                                    im += w * (a * d + b * c)
+                                # products of three fixed-point numbers
+                                den = (k + 1) << (2 * bits)
+                                row.append(((re * inv_re - im * inv_im) // den,
+                                            (re * inv_im + im * inv_re) // den))
+                            nxt.append(row)
                         Z.append(nxt)
-                        for i in range(n):
-                            for col in range(n):
-                                total[i][col] += nxt[i][col]
-                        big = max(abs(v) for row in nxt for v in row)
+                        total = [[(x + u, y + v) for (x, y), (u, v) in
+                                  zip(trow, nrow)]
+                                 for trow, nrow in zip(total, nxt)]
+                        big = max(max(abs(a), abs(b)) for row in nxt
+                                  for a, b in row)
                         small = small + 1 if big < tiny else 0
                         k += 1
                     Y = total
                     s = s1
-            out.append(np.array([[complex(v) for v in row] for row in Y]))
+            out.append(np.array([[complex(a / one, b / one) for a, b in row]
+                                 for row in Y]))
     return out
 
 
 @pytest.fixture(scope="module")
 def oracle():
     return {name: _mp_loop_generators(fixture(name)) for name in FIXTURE_NAMES}
+
+
+def _residue_conn(points, residues):
+    """M = sum_c K_c / (t - c) with trivial splitting, K_c the residue
+    matrices (Fractions) at the simple poles c."""
+    n = len(residues[0])
+    m = [[ZERO] * n for _ in range(n)]
+    for c, K in zip(points, residues):
+        for i, j in itertools.product(range(n), repeat=2):
+            if K[i][j]:
+                m[i][j] = m[i][j] + RatFun.const(K[i][j]) / RatFun(
+                    Poly([-c, GaussRat(1)]))
+    return Connection(SplittingType([0] * n),
+                      Divisor([(c, 1) for c in points]), m)
+
+
+def _q(*rows):
+    """A residue matrix from rows of 'a/b' strings."""
+    return [[Fraction(x) for x in row.split()] for row in rows]
+
+
+# the residues of triangle-diag: the generators do not commute
+_TRIANGLE_DIAG_RESIDUES = [_q("1/4 0", "0 -1/4"), _q("0 1", "1/16 0"),
+                           _q("-1/4 -1", "-1/16 1/4")]
+# shaped like the benchmark's systems: simple poles at real points, residue
+# entries of size at most 1, and local exponents with real parts in (-1, 1)
+_WIDER_POINTS = [GaussRat(-1), GaussRat(0), GaussRat(2)]
+_WIDER_RESIDUES = {
+    # the triangle-diag block plus a rank-1 block
+    "direct-sum-3": [
+        _q("1/4 0 0", "0 -1/4 0", "0 0 1/3"),
+        _q("0 1 0", "1/16 0 0", "0 0 -1/2"),
+        _q("-1/4 -1 0", "-1/16 1/4 0", "0 0 1/6")],
+    # distinct exponents at every pole, two of them complex pairs
+    "rank4": [
+        _q("1/2 0 -1/2 1/4", "0 1/2 0 1/4", "-1/4 -1/4 -1/4 0",
+           "0 -1/2 1/4 0"),
+        _q("-1/2 0 1/4 1/2", "0 1/4 -1/4 0", "0 1/4 0 0", "0 -1/4 -1/4 0"),
+        _q("0 0 1/4 -3/4", "0 -3/4 1/4 -1/4", "1/4 0 1/4 0",
+           "0 3/4 0 0")],
+}
+
+
+def _wider(name):
+    return _residue_conn(_WIDER_POINTS, _WIDER_RESIDUES[name])
+
+
+@pytest.fixture(scope="module")
+def wider_oracle():
+    return {name: _mp_loop_generators(_wider(name))
+            for name in _WIDER_RESIDUES}
 
 
 class TestTaylorOracle:
@@ -494,6 +588,36 @@ class TestTaylorOracle:
         assert worst[-1] < 1e-3 * worst[0] or worst[0] < 1e-10
         for coarse, fine in zip(bounds, bounds[1:]):
             assert fine < coarse
+
+    # the fixtures stop at rank 2; the batched recurrence reshapes by rank
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12])
+    @pytest.mark.parametrize("name", sorted(_WIDER_RESIDUES))
+    def test_wider_systems_within_reported_bound(self, name, tol,
+                                                 wider_oracle):
+        report = monodromy_generators(_wider(name), tol=tol)
+        assert report.det_defect < 1e-8
+        for T, ref, diag in zip(report.matrices, wider_oracle[name],
+                                report.diagnostics):
+            err = float(np.max(np.abs(T - ref)))
+            assert err <= diag.tail_bound + 1e-13, (name, tol, err, diag)
+
+
+class TestTransportMemory:
+    def test_rank4_loop_peak(self):
+        # the longest loop of a rank-4 system, at the benchmark's tol
+        conn = _wider("rank4")
+        rhs = monodromy_mod._TaylorStepper(conn)
+        loop = max(loop_paths(conn).loops,
+                   key=lambda loop: len(monodromy_mod._chords(rhs.sings,
+                                                              loop)))
+        eye = np.eye(4, dtype=complex)
+        tracemalloc.start()
+        try:
+            monodromy_mod._transport(rhs, loop, eye, 1e-8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -551,16 +675,7 @@ class TestRoute:
         ([GaussRat(1, 5), GaussRat(-5, -1), GaussRat(-1, 3)], 2 + 6j),
     ])
     def test_base_on_a_slanted_line(self, points, base):
-        residues = [[[Fraction(1, 4), 0], [0, Fraction(-1, 4)]],
-                    [[0, 1], [Fraction(1, 16), 0]],
-                    [[Fraction(-1, 4), -1], [Fraction(-1, 16), Fraction(1, 4)]]]
-        m = [[ZERO, ZERO], [ZERO, ZERO]]
-        for c, K in zip(points, residues):
-            for i, j in itertools.product(range(2), repeat=2):
-                m[i][j] = m[i][j] + RatFun.const(K[i][j]) / RatFun(
-                    Poly([-c, GaussRat(1)]))
-        conn = Connection(SplittingType([0, 0]),
-                          Divisor([(c, 1) for c in points]), m)
+        conn = _residue_conn(points, _TRIANGLE_DIAG_RESIDUES)
         report = monodromy_generators(conn, base=base)
         assert report.defect < 1e-8
         assert report.irreducible.kind == "irreducible"

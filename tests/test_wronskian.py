@@ -162,6 +162,13 @@ class TestGenerationBound:
         with pytest.raises(SingularEvaluationPoint):
             generation_index_at(conn, omega, 0)
 
+    def test_pole_of_the_section_rejected(self):
+        conn = fixture("euler-half")
+        omega = Section([ONE / (T - RatFun.const(5))], conn.splitting)
+        with pytest.raises(SingularEvaluationPoint, match="t = 5 is a pole"):
+            generation_index_at(conn, omega, 5)
+        assert generation_index_at(conn, omega, 4) == 1
+
     # Wronskians with one squarefree factor that vanishes at a singular
     # point and off the singular set: t(t-3) on euler-half, and
     # 59/4 t (t - 24/59)/((t-1)(t-2)) on triangle-diag
