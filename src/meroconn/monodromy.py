@@ -9,12 +9,13 @@ functions", 1999).  A path is cut into chords fixed by its geometry: none
 longer than a third of the distance to the nearest singular point.  One
 batched recurrence forms, for every chord of the path at once, the series
 of the frame that is the identity at the chord's start, with the certified
-truncation bound of each partial sum.  A walk along the chords multiplies
-Y by each chord's partial sum at the first order K whose bound times |Y|
-(|Z_k Y| <= |Z_k| |Y| in the infinity norm) is at most tol times the
-chord's share of its piece, or 1e-15 |Y|.  A report's transport error
-sums these bounds; roundoff and the growth of earlier errors are not in
-it, and det_defect shows them.  Each generator also reports its steps,
+truncation bound of each partial sum.  A walk along the chords, from the
+identity frame Y = I, multiplies Y by each chord's partial sum at the
+first order K whose bound times |Y| (|Z_k Y| <= |Z_k| |Y| in the infinity
+norm) is at most tol times the chord's share of its piece, or 1e-15 |Y|;
+the batch grows when no formed order meets that.  A report's transport
+error sums these bounds; roundoff and the growth of earlier errors are
+not in it, and det_defect shows them.  Each generator also reports its steps,
 largest order, least clearance and summed bound (TransportDiagnostics).
 All numerics are double precision.  A loop's approach from the base, and
 the segment from the default base to a jet's point, are straight except
@@ -269,30 +270,17 @@ class _Series:
         self.bounds = self.pre[:, None] * r[..., 0] / (ks + 1)
 
 
-def _grow(series: _Series, order: int, fits):
-    """Extend the series from `order` terms, by half again each time,
-    until fits(bounds) holds; past _MAX_ORDER raise StepUnderflow."""
-    top = _MAX_ORDER
-    order = max(1, min(order, top))
-    while True:
-        series.extend(order)
-        if fits(series.bounds):
-            return
-        if order == top:
-            raise StepUnderflow(f"no order up to {top} meets the tail target")
-        order = min(top, order + max(4, order // 2))
-
-
 def _check_tol(tol: float):
-    """Refuse a non-positive or NaN integration tolerance."""
-    if not tol > 0:
-        raise InvalidArgument(f"tol must be positive, got {tol}")
+    """Refuse a non-positive or non-finite integration tolerance."""
+    if not 0 < tol < math.inf:
+        raise InvalidArgument(f"tol must be positive and finite, got {tol}")
 
 
 def _chords(sings: list, pieces) -> list:
     """(z, h, ds, rho) of each step along the pieces: chords from z to
     z + h, ds in piece parameter, no longer than a third of rho, the
-    distance from z to the nearest singular point."""
+    distance from z to the nearest singular point.  A chord too short to
+    advance s raises StepUnderflow."""
     chords = []
     for piece in pieces:
         speed, s = abs(piece.dz(0.0)), 0.0
@@ -303,53 +291,58 @@ def _chords(sings: list, pieces) -> list:
                 raise SingularityTooClose(
                     f"path point {z} is within {rho:.2e} of a singular point")
             ds = min(1.0 - s, rho / (3 * speed)) if speed > 0 else 1.0 - s
-            s = 1.0 if ds >= 1.0 - s else s + ds
+            s, at = (1.0 if ds >= 1.0 - s else s + ds), s
+            if s == at:
+                raise StepUnderflow(
+                    f"a chord of {ds:.2e} does not advance s = {s} on {piece}")
             chords.append((z, piece.z(s) - z, ds, rho))
     return chords
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _transport(rhs: _TaylorStepper, pieces, y0: np.ndarray, tol: float):
-    """(value at the end of the pieces, TransportDiagnostics).  One batched
-    recurrence gives every chord's series from the identity; the walk then
-    multiplies Y by the partial sum of each chord's first order K whose
-    bound, times |Y|, is at most tol times the chord's share of its piece
-    (times |Y| when |Y| < 1), or the roundoff floor."""
+def _transport(rhs: _TaylorStepper, pieces, tol: float):
+    """(flat frame at the end of the pieces, identity at their start;
+    TransportDiagnostics).  One batched recurrence gives every chord's
+    series; the walk multiplies Y by the partial sum of each chord's first
+    order K whose bound, times |Y|, is at most tol times the chord's share
+    of its piece (times |Y| when |Y| < 1), or the roundoff floor.  When no
+    formed order of a chord meets its target, the batch grows by half
+    again, at least 4 terms, up to _MAX_ORDER."""
     _check_tol(tol)
-    y0 = np.asarray(y0, dtype=complex)
-    y = y0.reshape(len(y0), -1)
+    y = np.eye(rhs.rank, dtype=complex)
     diag = TransportDiagnostics()
     chords = _chords(rhs.sings, pieces)
     if not chords:
-        return y0, diag
+        return y, diag
     z, h, ds, rho = (np.array(c) for c in zip(*chords))
+    top = _MAX_ORDER
     series = _Series(rhs, z, h)
-    # every chord forms the terms its loosest target, at |Y| <= 1, needs
-    loose = np.maximum(tol * ds, _ROUNDOFF)[:, None]
-    _grow(series, math.ceil(-math.log(max(tol, _ROUNDOFF)) / math.log(3)),
-          lambda b: (b <= loose).any(axis=1).all())
+    series.extend(max(1, min(
+        math.ceil(-math.log(max(tol, _ROUNDOFF)) / math.log(3)), top)))
     for i in range(len(z)):
         ynorm = float(np.abs(y).sum(axis=1).max())
         target = max(tol * ds[i] * min(1.0, ynorm), _ROUNDOFF * ynorm)
-        part, j = series, i
-        if not (series.bounds[i] * ynorm <= target).any():
-            # the chord alone forms more terms
-            part, j = _Series(rhs, z[i:i + 1], h[i:i + 1]), 0
-            _grow(part, series.order, lambda b: (b * ynorm <= target).any())
-        bounds = part.bounds[j] * ynorm
+        while not (series.bounds[i] * ynorm <= target).any():
+            if series.order == top:
+                raise StepUnderflow(
+                    f"no order up to {top} meets the tail target")
+            series.extend(min(top, series.order
+                              + max(4, series.order // 2)))
+        bounds = series.bounds[i] * ynorm
         K = int(np.argmax(bounds <= target))
-        y = part.Z[j, :K + 1].sum(axis=0) @ y
+        y = series.Z[i, :K + 1].sum(axis=0) @ y
         diag.steps += 1
         diag.max_order = max(diag.max_order, K)
         diag.min_clearance = min(diag.min_clearance, rho[i])
         diag.tail_bound += float(bounds[K])
-    return y.reshape(y0.shape), diag
+    return y, diag
 
 
 def transport(conn: Connection, path, v0, tol: float = 1e-12) -> np.ndarray:
     """Continue the flat-section system v' = -M v along a path (a piece or
     a list of pieces) from v0, a vector or a matrix of rank rows; returns
-    the endpoint value."""
+    the endpoint value, the flat frame transported from the identity
+    times v0."""
     conn.ensure_valid()
     v0 = np.asarray(v0, dtype=complex)
     if v0.ndim not in (1, 2) or len(v0) != conn.rank:
@@ -357,8 +350,7 @@ def transport(conn: Connection, path, v0, tol: float = 1e-12) -> np.ndarray:
             f"transport starts from rank {conn.rank} rows, a vector or a "
             f"matrix; v0 has shape {v0.shape}")
     pieces = [path] if isinstance(path, (Line, Arc)) else list(path)
-    rhs = _TaylorStepper(conn)
-    return _transport(rhs, pieces, v0, tol)[0]
+    return _transport(_TaylorStepper(conn), pieces, tol)[0] @ v0
 
 
 # ---------------------------------------------------------------------------
@@ -404,11 +396,11 @@ def monodromy_generators(conn: Connection, base=None,
     spec = loop_paths(conn, base)
     n = conn.rank
     rhs = _TaylorStepper(conn)
-    eye = np.eye(n, dtype=complex)
-    results = [_transport(rhs, loop, eye, tol) for loop in spec.loops]
+    results = [_transport(rhs, loop, tol) for loop in spec.loops]
     Ts = [r[0] for r in results]
     diags = [r[1] for r in results]
-    prod = eye.copy()
+    eye = np.eye(n, dtype=complex)
+    prod = eye
     for T in Ts:                       # first loop applied first
         prod = T @ prod
     defect = float(np.max(np.abs(prod - eye))) if Ts else 0.0
@@ -543,8 +535,7 @@ def _dual_frame_at(conn: Connection, t0: complex, tol: float):
     along the route that detours on the loop circles."""
     rhs, base = _TaylorStepper(conn), default_base(conn)
     radii = _loops(rhs.sings, base)[0]
-    T, diag = _transport(rhs, _route(base, t0, rhs.sings, radii),
-                         np.eye(conn.rank, dtype=complex), tol)
+    T, diag = _transport(rhs, _route(base, t0, rhs.sings, radii), tol)
     return np.linalg.inv(T).T, diag.tail_bound
 
 

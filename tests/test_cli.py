@@ -15,9 +15,10 @@ from meroconn.errors import ParseError, ValidationFailed
 from helpers import run_json
 
 
-def run_cli(args, cwd=None):
+def run_cli(args, cwd=None, timeout=None):
     return subprocess.run([sys.executable, "-m", "meroconn", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd,
+                          timeout=timeout)
 
 
 class TestParseConnectionFile:
@@ -261,20 +262,30 @@ class TestArguments:
         jet = report["results"]["jet_magnitudes"]
         assert max(jet[:-1]) < 1e-6 * jet[-1]
 
+    def test_far_base_fails_cleanly(self, files):
+        # on a 1e20-long approach a chord near the loops is too short to
+        # advance the line's parameter: the run must stop, not spin
+        proc = run_cli(["--format", "json", "monodromy",
+                        str(files / "tri.conn"), "--base", "1e20"],
+                       timeout=60)
+        assert proc.returncode == 1
+        assert "does not advance" in json.loads(proc.stdout)["error"]
+
     def test_achieve_one_dimensional_section_space(self, files, capsys):
         err = self._domain_error(capsys, ["achieve", str(files / "euler.conn"),
                                           "--n", "0"])
         assert "dimension 1" in err
 
-    @pytest.mark.parametrize("argv", [["monodromy", "euler.conn"],
-                                      ["ode", "euler.conn"],
-                                      ["achieve", "tri.conn", "--n", "1"]])
+    @pytest.mark.parametrize("argv", [
+        [*argv, f"--tol={tol}"] for tol in ("-1", "inf")
+        for argv in (["monodromy", "euler.conn"], ["ode", "euler.conn"],
+                     ["achieve", "tri.conn", "--n", "1"])])
     def test_negative_tol(self, files, capsys, argv):
         err = self._domain_error(capsys, [argv[0], str(files / argv[1]),
-                                          *argv[2:], "--tol=-1"])
+                                          *argv[2:]])
         assert "tol must be positive" in err
 
-    @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
     def test_ode_tol_checked_before_reduction(self, files, capsys,
                                               monkeypatch, tol):
         def refuse(*args):

@@ -111,7 +111,7 @@ class TestTransport:
         assert frame.shape == (2, 2)
         v = transport(conn, path, [1.0, 2.0])
         assert v.shape == (2,)
-        assert np.max(np.abs(v - frame @ [1.0, 2.0])) < 1e-10
+        assert np.array_equal(v, frame @ [1.0, 2.0])
         assert transport(conn, path, np.eye(2)[:, :1]).shape == (2, 1)
 
     def test_order_cap_raises_step_underflow(self, monkeypatch):
@@ -170,15 +170,14 @@ class TestIrregularPoint:
         (gen,), (diag,) = report.matrices, report.diagnostics
         assert abs(gen[0, 0] - 1) <= diag.tail_bound + 1e-13
 
-    @pytest.mark.xfail(strict=True, reason=(
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "the tail bound sums each step's truncation bound; an error made "
         "early is not counted as the solution grows by e^9 after it"))
     def test_line_into_growth_within_bound(self):
         conn = irregular_conn(2)
         stepper = monodromy_mod._TaylorStepper(conn)
-        y, diag = monodromy_mod._transport(stepper, [Line(1.0, 0.1)],
-                                           np.array([math.e]), 1e-8)
-        assert abs(y[0] - math.exp(10)) <= diag.tail_bound + 1e-13
+        y, diag = monodromy_mod._transport(stepper, [Line(1.0, 0.1)], 1e-8)
+        assert abs(y[0, 0] - math.exp(9)) <= diag.tail_bound + 1e-13
 
 
 def _overstated_conn():
@@ -610,14 +609,33 @@ class TestTransportMemory:
         loop = max(loop_paths(conn).loops,
                    key=lambda loop: len(monodromy_mod._chords(rhs.sings,
                                                               loop)))
-        eye = np.eye(4, dtype=complex)
         tracemalloc.start()
         try:
-            monodromy_mod._transport(rhs, loop, eye, 1e-8)
+            monodromy_mod._transport(rhs, loop, 1e-8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 2 ** 20
+
+    @pytest.mark.parametrize("name", ["euler-half", "triangle-nilpotent",
+                                      "triangle-diag", "two-point-reducible"])
+    def test_one_series_per_transport(self, name, monkeypatch):
+        # a chord that needs more terms grows the batch, never a series of
+        # its own
+        built = []
+
+        class Counted(monodromy_mod._Series):
+            def __init__(self, *args):
+                built.append(self)
+                super().__init__(*args)
+
+        monkeypatch.setattr(monodromy_mod, "_Series", Counted)
+        conn = fixture(name)
+        rhs = monodromy_mod._TaylorStepper(conn)
+        for loop in loop_paths(conn).loops:
+            built.clear()
+            monodromy_mod._transport(rhs, loop, 1e-12)
+            assert len(built) <= 1
 
 
 # ---------------------------------------------------------------------------
