@@ -26,7 +26,6 @@ there they follow its loop circle, on the side they pass it (_route).
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -97,7 +96,8 @@ class PathSpec:
 
 
 _DETOUR = 0.1   # loop radii: a segment this near a point follows its circle
-# slack of a crossing at a segment's end (in s) and of a tie in angle (rad)
+# slack of a crossing at a segment's end (in loop radii) and of a tie in
+# angle (rad)
 _SLACK = 1e-9
 
 
@@ -131,8 +131,8 @@ def _route(a: complex, b: complex, sings: list, radii: list) -> list:
     for c, r in zip(sings, radii):
         w, h = (c - a) / (b - a), r / abs(b - a)   # w: c with a = 0, b = 1
         half = math.sqrt(max(h * h - w.imag ** 2, 0.0))
-        if abs(w.imag) < _DETOUR * h and w.real - half >= -_SLACK and (
-                w.real + half <= 1 + _SLACK
+        if abs(w.imag) < _DETOUR * h and w.real - half >= -_SLACK * h and (
+                w.real + half <= 1 + _SLACK * h
                 or w.real <= 1 and abs(w - 1) < h):
             sign = 1 if w.imag >= -_SLACK * abs(w) else -1
             th = cmath.phase((b - a) * complex(-half, -w.imag))
@@ -420,23 +420,10 @@ def monodromy_generators(conn: Connection, base=None,
         diagnostics=diags)
 
 
-def _joint_line_search(Ts, n):
-    """Best candidate for a common eigenvector: minimize the smallest
-    singular value of the stacked matrices T_k - lambda_k I over all
-    eigenvalue choices."""
-    eigs = [np.linalg.eigvals(T) for T in Ts]
-    best = (math.inf, None)
-    for chosen in itertools.product(*eigs):
-        stacked = np.vstack([T - lam * np.eye(n) for T, lam in zip(Ts, chosen)])
-        _, s, vh = np.linalg.svd(stacked)
-        if s[-1] < best[0]:
-            best = (float(s[-1]), vh[-1].conj())
-    return best
-
-
-# the rank >= 4 verdict spans the orbits of this many seeded random vectors
+# seed of the verdict's random draws: the weights of the rank <= 3
+# algebra element, and the rank >= 4 orbits of _ORBIT_TRIALS vectors
 _ORBIT_TRIALS = 20
-_ORBIT_SEED = 0
+_VERDICT_SEED = 0
 
 
 def _line_invariance_residual(Ts, v):
@@ -449,34 +436,37 @@ def _line_invariance_residual(Ts, v):
     return worst
 
 
+def _eigen_line(Ts, rng):
+    """(residual, vector) of the eigenvector of one seeded combination
+    A = sum_k w_k T_k that the T_k keep best: a line that every T_k keeps
+    is an eigenvector of every such A."""
+    A = sum(complex(rng.gauss(0, 1), rng.gauss(0, 1)) * T for T in Ts)
+    return min(((_line_invariance_residual(Ts, v), v)
+                for v in np.linalg.eig(A)[1].T), key=lambda rv: rv[0])
+
+
 def _verdict_from_generators(Ts, n, defect) -> IrreducibilityVerdict:
     if n == 1:
-        return IrreducibilityVerdict("irreducible", margin=math.inf)
+        return IrreducibilityVerdict("irreducible", margin=1.0)
     if not Ts:
         return IrreducibilityVerdict("reducible",
                                      witness=np.eye(n, 1, dtype=complex).ravel(),
-                                     witness_kind="line", margin=math.inf)
+                                     witness_kind="line", margin=0.0)
     accept = max(1e-6, 100.0 * defect)
+    rng = random.Random(_VERDICT_SEED)
     if n <= 3:
-        sigma_v, v = _joint_line_search(Ts, n)
-        sigma_h, h = _joint_line_search([T.T for T in Ts], n)
-        if v is not None and sigma_v <= sigma_h:
-            sigma, vec, kind, mats = sigma_v, v, "line", Ts
-        else:
-            sigma, vec, kind, mats = sigma_h, h, "hyperplane", [T.T for T in Ts]
-        if sigma < max(1e-7, 50.0 * defect):
-            resid = _line_invariance_residual(mats, vec)
-            if resid < accept:
-                return IrreducibilityVerdict("reducible", witness=vec,
-                                             witness_kind=kind, margin=resid)
-            return IrreducibilityVerdict("inconclusive", margin=resid)
-        if min(sigma_v, sigma_h) > 1e-3:
-            return IrreducibilityVerdict("irreducible",
-                                         margin=float(min(sigma_v, sigma_h)))
-        return IrreducibilityVerdict("inconclusive",
-                                     margin=float(min(sigma_v, sigma_h)))
+        # an invariant hyperplane is an invariant line of the transposes;
+        # the margin is the smaller relative residual, in [0, 1]
+        (resid, vec), kind = min(
+            (_eigen_line(Ts, rng), "line"),
+            (_eigen_line([T.T for T in Ts], rng), "hyperplane"),
+            key=lambda found: found[0][0])
+        if resid < accept:
+            return IrreducibilityVerdict("reducible", witness=vec,
+                                         witness_kind=kind, margin=resid)
+        return IrreducibilityVerdict(
+            "irreducible" if resid > 1e-3 else "inconclusive", margin=resid)
     # higher rank: randomized orbit spanning
-    rng = random.Random(_ORBIT_SEED)
     for _ in range(_ORBIT_TRIALS):
         v = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1))
                       for _ in range(n)])

@@ -22,13 +22,17 @@ from meroconn.cli import main
 ZERO = GaussRat(0)
 
 
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON (RFC 8259)")
+
+
 def run_json(argv):
     """Run one CLI subcommand in process with JSON output; returns
-    (exit code, parsed report)."""
+    (exit code, parsed report).  A report holding NaN or Infinity fails."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(["--format", "json", *argv])
-    return code, json.loads(out.getvalue())
+    return code, json.loads(out.getvalue(), parse_constant=_not_json)
 
 
 def rand_gauss(rng, lo=-9, hi=9, nonzero=False):

@@ -174,6 +174,15 @@ class TestSubcommands:
         assert report["results"]["product_defect"] < 1e-8
         assert report["results"]["irreducible"] == "irreducible"
 
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_monodromy_report_is_strict_json(self, tmp_path, name):
+        # run_json refuses NaN and Infinity, which are not JSON: every
+        # margin, the rank-1 one too, must be a finite number
+        path = tmp_path / f"{name}.conn"
+        path.write_text(fixture_file(name))
+        code, report = run_json(["monodromy", str(path)])
+        assert code == 0
+
     def test_input_digest_is_sha256(self, tmp_path):
         text = fixture_file("triangle-diag")
         path = tmp_path / "td.conn"

@@ -4,6 +4,7 @@ import cmath
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -261,6 +262,26 @@ class TestMonodromyGenerators:
             assert max(abs(w - g) for w, g in zip(want, got)) < 1e-6
 
 
+def _assert_witness(verdict, mats):
+    """The verdict's line (or hyperplane: a line of the transposes) is kept
+    by every generator."""
+    assert verdict.kind == "reducible"
+    assert verdict.witness is not None
+    v = np.asarray(verdict.witness, dtype=complex).ravel()
+    v = v / np.linalg.norm(v)
+    if verdict.witness_kind == "hyperplane":
+        mats = [T_c.T for T_c in mats]
+    for T_c in mats:
+        w = T_c @ v
+        w = w / np.linalg.norm(w)
+        assert min(np.linalg.norm(w - v), np.linalg.norm(w + v)) < 1e-6 \
+            or np.linalg.norm(w - (w @ v.conj()) * v) < 1e-6
+
+
+def _complex_normal(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
 class TestIrreducibility:
     def test_rank1_always_irreducible(self):
         verdict = irreducibility_check(fixture("euler-half"))
@@ -268,25 +289,54 @@ class TestIrreducibility:
 
     def test_two_point_reducible(self):
         verdict = irreducibility_check(fixture("two-point-reducible"))
-        assert verdict.kind == "reducible"
-        assert verdict.witness is not None
         # verify the witness invariance directly
         report = monodromy_generators(fixture("two-point-reducible"),
                                       tol=1e-12)
-        v = np.asarray(verdict.witness, dtype=complex).ravel()
-        v = v / np.linalg.norm(v)
-        mats = report.matrices
-        if verdict.witness_kind == "hyperplane":
-            mats = [T_c.T for T_c in mats]
-        for T_c in mats:
-            w = T_c @ v
-            w = w / np.linalg.norm(w)
-            assert min(np.linalg.norm(w - v), np.linalg.norm(w + v)) < 1e-6 \
-                or np.linalg.norm(w - (w @ v.conj()) * v) < 1e-6
+        _assert_witness(verdict, report.matrices)
 
     def test_triangle_fixtures_irreducible(self):
         for name in ("triangle-nilpotent", "triangle-diag"):
             assert irreducibility_check(fixture(name)).kind == "irreducible"
+
+    @pytest.mark.parametrize("rank, count", [(2, 16), (3, 10)])
+    def test_many_generators_fast(self, rank, count):
+        # a search over every choice of one eigenvalue per generator takes
+        # rank^count steps; one algebra element's eigenvectors take count
+        Ts = list(_complex_normal(np.random.default_rng(7), count, rank, rank))
+        started = time.perf_counter()
+        verdict = monodromy_mod._verdict_from_generators(Ts, rank, 0.0)
+        assert time.perf_counter() - started < 1.0
+        assert verdict.kind == "irreducible"
+
+    def test_conjugated_unipotent_rank3(self):
+        # T_k = S (I + N_k) S^-1, N_k strictly upper triangular: S e_1 is a
+        # common eigenvector, though every eigenvalue of every T_k is 1
+        rng = np.random.default_rng(0)
+        S = _complex_normal(rng, 3, 3)
+        Ts = [S @ (np.eye(3) + np.triu(_complex_normal(rng, 3, 3), 1))
+              @ np.linalg.inv(S) for _ in range(3)]
+        verdict = monodromy_mod._verdict_from_generators(Ts, 3, 0.0)
+        _assert_witness(verdict, Ts)
+
+    def test_invariant_plane_without_invariant_line(self):
+        # [[B_k, c_k], [0, d_k]] with the B_k irreducible on the plane of
+        # e_1, e_2: no line is kept, the plane is
+        rng = np.random.default_rng(3)
+        Ts = []
+        for _ in range(3):
+            T_k = np.zeros((3, 3), dtype=complex)
+            T_k[:2] = _complex_normal(rng, 2, 3)
+            T_k[2, 2] = _complex_normal(rng)
+            Ts.append(T_k)
+        verdict = monodromy_mod._verdict_from_generators(Ts, 3, 0.0)
+        assert verdict.witness_kind == "hyperplane"
+        _assert_witness(verdict, Ts)
+
+    def test_fixture_margins_in_unit_interval(self):
+        margins = {name: irreducibility_check(fixture(name)).margin
+                   for name in fixture_names()}
+        assert all(0.0 <= m <= 1.0 for m in margins.values()), margins
+        assert margins["euler-half"] == 1.0
 
 
 class TestPeriodJet:
@@ -668,10 +718,12 @@ class TestRoute:
     """Approach and jet segments that would pass within a tenth of a loop
     radius of a singular point follow its loop circle instead."""
 
-    # on and near the line through the three collinear points, and at
-    # their midpoints, where the loop circles touch
+    # on and near the line through the three collinear points, at their
+    # midpoints, where the loop circles touch, and far out, where a loop
+    # radius is below 1e-9 of the approach's length (1e10j is off the line)
     @pytest.mark.parametrize("base", [3, -1, -0.5, 0.5, 1.5, 2.5, 3 + 1e-14j,
-                                      3 - 1e-14j, 3 + 0.001j, 3 - 0.04j])
+                                      3 - 1e-14j, 3 + 0.001j, 3 - 0.04j,
+                                      1e9, 1e10, 1e12, 1e14, -1e12, 1e10j])
     def test_base_on_the_line_of_points(self, base):
         report = monodromy_generators(fixture("triangle-diag"), base=base)
         assert report.defect < 1e-8
