@@ -348,8 +348,7 @@ def _cmd_achieve(args):
     E = _divisor_from_args(conn, args)
     _check_twist(args.n, E)
     t0 = _base_from_arg(args, _default_probe(conn))
-    section, jet = achieve_with_jet(conn, E, t0, dual_index=args.order,
-                                    tol=args.tol)
+    section, jet = achieve_with_jet(conn, E, t0, dual_index=args.order)
     return 0, inputs, {
         "n": args.n,
         "twist_divisor": str(E),
@@ -412,8 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("sample-h", _cmd_sample_h, "--n", "--samples", "--seed",
         "--pole-divisor")
     add("monodromy", _cmd_monodromy, "--tol", "--base")
-    add("achieve", _cmd_achieve, "--n", "--tol", "--base", "--pole-divisor",
-        "--order")
+    add("achieve", _cmd_achieve, "--n", "--base", "--pole-divisor", "--order")
     fx = sub.add_parser("fixtures")
     fx.set_defaults(func=_cmd_fixtures)
     fx.add_argument("action", choices=["list", "emit"])

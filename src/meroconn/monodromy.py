@@ -29,7 +29,6 @@ import cmath
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -41,8 +40,8 @@ from .errors import (
     SingularityTooClose,
     StepUnderflow,
 )
-from .exactalg import GaussRat, Poly, RatFun
-from .wronskian import ScalarODE, iterated
+from .exactalg import GaussRat, Poly, RatFun, _back_substitute, _row_echelon
+from .wronskian import ScalarODE, _evaluation_point, iterated
 
 __all__ = [
     "Line", "Arc", "PathSpec", "MonodromyReport", "PeriodJet",
@@ -63,7 +62,8 @@ class Line:
     end: complex
 
     def z(self, s: float) -> complex:
-        return self.start + s * (self.end - self.start)
+        # at s = 1 the sum below misses end by about |start| eps
+        return self.end if s == 1.0 else self.start + s * (self.end - self.start)
 
     def dz(self, s: float) -> complex:
         return self.end - self.start
@@ -549,6 +549,7 @@ def period_jet(conn: Connection, section: Section, t0, depth: int,
         raise InvalidArgument("depth must be >= 1")
     conn.ensure_valid()
     z0 = _as_complex(t0)
+    _evaluation_point(conn, [section], t0)
     U, err = _dual_frame_at(conn, z0, tol)
     jet = _pairings(U, iterated(conn, section, depth - 1), z0)
     return PeriodJet(base=z0, depth=depth, jet=jet, transport_error=err)
@@ -566,23 +567,24 @@ def _ode_residual(conn: Connection, its: list, ode: ScalarODE, t0,
                   tol: float) -> float:
     """ode_residual from the section's iterates grad^0 w ... grad^rank w."""
     z0 = _as_complex(t0)
+    _evaluation_point(conn, its[:1], t0)
     jet = _pairings(_dual_frame_at(conn, z0, tol)[0], its, z0)
     top = jet[conn.rank] - np.array(ode.ceval_coeffs(z0)) @ jet[:conn.rank]
     return float(np.max(np.abs(top))) / (1.0 + float(np.max(np.abs(jet))))
 
 
 def achieve_with_jet(conn: Connection, E: Divisor, t0,
-                     dual_index: int = 0,
-                     tol: float = 1e-12) -> tuple[Section, PeriodJet]:
-    """Constructive high-multiplicity section: a kernel combination of the
-    section-space basis whose period against flat dual section
-    ``dual_index`` vanishes to order dim - 1 at t0 (for generic t0).
+                     dual_index: int = 0) -> tuple[Section, PeriodJet]:
+    """Constructive high-multiplicity section: the combination of the
+    section-space basis whose period against the flat dual section equal
+    to e_dual_index at t0 vanishes to order dim - 1 there.
 
-    Returns the section with its period jet to depth dim, paired with the
-    whole flat dual frame as in ``period_jet``.  Covariant
-    derivation is C-linear, so the jet is the kernel combination of the
-    basis jets; the iterates of the rationalised section, whose
-    coefficients have denominators up to 10^15, are never formed.
+    The period's k-th derivative at t0 is component dual_index of
+    grad^k w(t0), so the conditions are linear over Q(i).  They are solved
+    exactly at t0 (each part of a float read as the decimal Python
+    prints), the free coefficient set to 1.  The first dim - 1 iterates
+    then lie in a hyperplane at t0, so the index there is >= dim.  Row k
+    of the jet is grad^k w(t0); column dual_index is 0 in rows < dim - 1.
     """
     conn.ensure_valid()
     if not 0 <= dual_index < conn.rank:
@@ -594,46 +596,31 @@ def achieve_with_jet(conn: Connection, E: Divisor, t0,
         raise InvalidArgument(
             f"the section space has dimension {d}; achieve needs >= 2")
     z0 = _as_complex(t0)
-    U, err = _dual_frame_at(conn, z0, tol)
-    # J[i, :, j] pairs the i-th iterate of basis[j] with the dual frame.  All
-    # exact iterates come first: a matrix product between them slowed the
-    # exact arithmetic after it by 15% on 2-core Xeon runs of achieve.
-    its = [iterated(conn, b, d - 1) for b in basis]
-    J = np.stack([_pairings(U, it, z0) for it in its], axis=2)
-    P = J[: d - 1, dual_index, :]             # (d-1) x d
-    _, s, vh = np.linalg.svd(P)
-    # full row rank means a one-dimensional kernel; anything less marks a
-    # degenerate evaluation point
-    if s[-1] < 1e-10 * max(s[0], 1.0):
+    b = _evaluation_point(conn, basis, t0)
+    # vals[j][k] = grad^k basis[j] at t0; covariant derivation is C-linear,
+    # so the section's iterates are the same combination of these
+    vals = [[it.eval(b) for it in iterated(conn, s, d - 1)] for s in basis]
+    M = [[vals[j][k][dual_index] for j in range(d)] for k in range(d - 1)]
+    pivots, _ = _row_echelon(M, d)
+    if len(pivots) < d - 1:
         raise DegenerateJet("jet system rank-deficient beyond corank one")
-    kernel = vh[-1].conj()
-    kernel = kernel / kernel[int(np.argmax(np.abs(kernel)))]
-    scale = float(np.max(np.abs(P))) or 1.0
-
-    best = None
-    for limit in (10 ** 9, 10 ** 15):
-        coeffs = [GaussRat(Fraction(z.real).limit_denominator(limit),
-                           Fraction(z.imag).limit_denominator(limit))
-                  for z in kernel]
-        if not any(coeffs):
-            continue
-        jet = J @ np.array([c.to_complex() for c in coeffs])
-        low = float(np.max(np.abs(jet[: d - 1, dual_index])))
-        if best is None or low < best[0]:
-            best = (low, coeffs, jet)
-        if low <= tol * scale * 10:
-            break
-    if best is None:
-        raise DegenerateJet("kernel reconstruction produced the zero section")
-    _, coeffs, jet = best
+    free = next(j for j in range(d) if j not in pivots)
+    x = _back_substitute([[row[p] for p in pivots] + [-row[free]]
+                          for row in M], d - 1)
+    coeffs = [GaussRat(1)] * d            # the free coefficient stays 1
+    for p, c in zip(pivots, x):
+        coeffs[p] = c
     section = Section([RatFun.const(0)] * conn.rank, conn.splitting)
-    for c, b in zip(coeffs, basis):
+    for c, s in zip(coeffs, basis):
         if c:
-            section = section + b.scale(RatFun.const(c))
-    return section, PeriodJet(base=z0, depth=d, jet=jet, transport_error=err)
+            section = section + s.scale(RatFun.const(c))
+    jet = [[sum((coeffs[j] * vals[j][k][i] for j in range(d)), GaussRat(0))
+            .to_complex() for i in range(conn.rank)] for k in range(d)]
+    return section, PeriodJet(base=z0, depth=d, jet=np.array(jet),
+                              transport_error=0.0)
 
 
 def achieve_multiplicity(conn: Connection, E: Divisor, t0,
-                         dual_index: int = 0, tol: float = 1e-12) -> Section:
+                         dual_index: int = 0) -> Section:
     """The section of ``achieve_with_jet``, without its jet."""
-    return achieve_with_jet(conn, E, t0, dual_index, tol)[0]
+    return achieve_with_jet(conn, E, t0, dual_index)[0]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .bundle import (
     Divisor,
@@ -149,13 +150,23 @@ def _index_at(conn: Connection, its: list, b: GaussRat, cap: int) -> int:
     )
 
 
-def generation_index_at(conn: Connection, section: Section, b) -> int:
-    """Smallest h such that the first h iterates span the fiber at b."""
+def _evaluation_point(conn: Connection, sections, b) -> GaussRat:
+    """b as an exact point, each part of a float read as the decimal Python
+    prints it; refuses a singular point and a pole of any of the sections."""
+    if not isinstance(b, (GaussRat, int, Fraction)):
+        z = complex(b)
+        b = GaussRat(Fraction(repr(z.real)), Fraction(repr(z.imag)))
     b = _coerce(b)
     if b in set(conn.singular_points):
         raise SingularEvaluationPoint(f"t = {b} is a singular point")
-    if any(c.den.eval(b).is_zero() for c in section.comps):
+    if any(c.den.eval(b).is_zero() for s in sections for c in s.comps):
         raise SingularEvaluationPoint(f"t = {b} is a pole of the section")
+    return b
+
+
+def generation_index_at(conn: Connection, section: Section, b) -> int:
+    """Smallest h such that the first h iterates span the fiber at b."""
+    b = _evaluation_point(conn, [section], b)
     its, a = _wronskian_iterates(conn, section)
     if a.is_zero():
         raise DegenerateSection("Wronskian vanishes identically")

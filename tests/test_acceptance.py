@@ -178,7 +178,7 @@ def test_criterion_08_maximal_multiplicity():
     ok = True
     for n in (1, 2, 3):
         d = n + 1
-        omega = achieve_multiplicity(conn, n_infinity(n), 3.0, tol=1e-12)
+        omega = achieve_multiplicity(conn, n_infinity(n), 3.0)
         jet = period_jet(conn, omega, 3.0, depth=d, tol=1e-12).jet[:, 0]
         scale = max(1e-300, float(np.max(np.abs(jet))))
         if not all(abs(jet[i]) < 1e-7 * scale for i in range(d - 1)):

@@ -231,13 +231,19 @@ class TestSubcommands:
     @pytest.mark.parametrize("argv", [["monodromy"], ["achieve", "--n", "2"]])
     def test_huge_growth_bound_fails_cleanly(self, tmp_path, argv):
         # M = R/(t(t-1)) with R = 3000: near 0 a step's growth factor e^A
-        # lies far beyond double range, so no order meets the tail target
+        # lies far beyond double range, so no order meets the tail target;
+        # achieve solves its kernel exactly and transports nothing
         path = tmp_path / "big.conn"
         path.write_text("rank 1\nsplitting 0\npoint 0 order 1\n"
                         "point 1 order 1\nmatrix\n3000/(t*(t-1))\nend\n")
         code, report = run_json([argv[0], str(path), *argv[1:]])
-        assert code == 1
-        assert "no order up to" in report["error"]
+        if argv[0] == "monodromy":
+            assert code == 1
+            assert "no order up to" in report["error"]
+        else:
+            assert code == 0
+            jet = report["results"]["jet_magnitudes"]
+            assert jet[:-1] == [0.0, 0.0] and jet[-1] > 0
 
 
 class TestArguments:
@@ -287,8 +293,7 @@ class TestArguments:
 
     @pytest.mark.parametrize("argv", [
         [*argv, f"--tol={tol}"] for tol in ("-1", "inf")
-        for argv in (["monodromy", "euler.conn"], ["ode", "euler.conn"],
-                     ["achieve", "tri.conn", "--n", "1"])])
+        for argv in (["monodromy", "euler.conn"], ["ode", "euler.conn"])])
     def test_negative_tol(self, files, capsys, argv):
         err = self._domain_error(capsys, [argv[0], str(files / argv[1]),
                                           *argv[2:]])
@@ -327,6 +332,11 @@ class TestArguments:
          "n must be >= 0"),
         (["sample-h", "--n", "-1", "--pole-divisor", "inf^3"],
          "n must be >= 0"),
+        # a pole of the twisting divisor, and one of the section at the
+        # default probe 3+1.25i
+        (["achieve", "--n", "1", "--pole-divisor", "5^1", "--base", "5"],
+         "t = 5 is a pole"),
+        (["ode", "--section=1/(t-3-5/4i),0"], "t = 3+5/4i is a pole"),
     ])
     def test_out_of_range_argument_is_domain_error(self, files, capsys, argv,
                                                    message):
@@ -337,7 +347,8 @@ class TestArguments:
     @pytest.mark.parametrize("argv", [["validate", "--tol", "1e-3"],
                                       ["wronskian", "--seed", "1"],
                                       ["bound", "--section=1"],
-                                      ["monodromy", "--n", "2"]])
+                                      ["monodromy", "--n", "2"],
+                                      ["achieve", "--tol", "1e-3"]])
     def test_unread_flag_is_usage_error(self, files, argv):
         assert main([argv[0], str(files / "euler.conn"), *argv[1:]]) == 2
 

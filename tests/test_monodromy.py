@@ -31,14 +31,18 @@ from meroconn import (
     dual_connection,
     fixture,
     fixture_names,
+    generation_index_at,
     irreducibility_check,
+    iterated,
     local_data,
     loop_paths,
     monodromy_generators,
     ode_residual,
     parse_divisor,
     period_jet,
+    section_space_basis,
     transport,
+    wronskian_determinant,
 )
 from meroconn import monodromy as monodromy_mod
 from meroconn.errors import (DegenerateJet, InvalidArgument,
@@ -391,7 +395,7 @@ class TestOdeResidual:
 class TestAchieveMultiplicity:
     def test_euler_linear_vanishing(self):
         conn = fixture("euler-half")
-        omega = achieve_multiplicity(conn, parse_divisor("inf^1"), 3.0, tol=1e-12)
+        omega = achieve_multiplicity(conn, parse_divisor("inf^1"), 3.0)
         # kernel of a 1x2 jet system: proportional to (t - 3)
         [comp] = omega.comps
         num = comp.num.monic()
@@ -400,28 +404,52 @@ class TestAchieveMultiplicity:
         assert abs(jet.jet[0, 0]) < 1e-9
         assert abs(jet.jet[1, 0]) > 1e-3
 
+    @staticmethod
+    def _check_exact_kernel(conn, E, t0, dual_index):
+        """Component dual_index of the section's own iterates, evaluated
+        exactly at t0, is 0 below depth d - 1 and not at d - 1; the jet
+        holds these values; and the index at t0 is at least d wherever the
+        Wronskian does not vanish."""
+        omega, jet = achieve_with_jet(conn, E, t0, dual_index)
+        d = jet.depth
+        assert d == len(section_space_basis(conn.splitting, E))
+        b = GaussRat(Fraction(repr(t0.real)), Fraction(repr(t0.imag)))
+        vals = [it.eval(b) for it in iterated(conn, omega, d - 1)]
+        assert all(v[dual_index].is_zero() for v in vals[:-1])
+        assert not vals[-1][dual_index].is_zero()
+        assert np.array_equal(jet.jet,
+                              [[c.to_complex() for c in v] for v in vals])
+        assert jet.transport_error == 0.0
+        if not wronskian_determinant(conn, omega).is_zero():
+            assert generation_index_at(conn, omega, b) >= d
+
     @pytest.mark.parametrize("name, n", [("euler-half", 2),
-                                         ("triangle-diag", 1)])
+                                         ("triangle-diag", 1),
+                                         ("triangle-nilpotent", 1)])
     def test_jet_matches_exact_iterates(self, name, n):
         conn = fixture(name)
         t0 = default_base(conn) + 0.25j
-        omega, jet = achieve_with_jet(conn, parse_divisor(f"inf^{n}"), t0,
-                                      tol=1e-12)
-        ref = period_jet(conn, omega, t0, jet.depth, tol=1e-12)
-        assert jet.jet.shape == ref.jet.shape == (jet.depth, conn.rank)
-        top = abs(ref.jet[-1, 0])
-        assert abs(jet.jet[-1, 0] - ref.jet[-1, 0]) < 1e-9 * top
-        for j in (jet, ref):
-            assert np.max(np.abs(j.jet[:-1, 0])) < 1e-7 * top
-        # the pairings with the other flat dual sections agree as well
-        scale = np.max(np.abs(ref.jet))
-        assert np.max(np.abs(jet.jet - ref.jet)) < 1e-9 * scale
+        for dual_index in range(conn.rank):
+            self._check_exact_kernel(conn, parse_divisor(f"inf^{n}"), t0,
+                                     dual_index)
+
+    def test_exact_kernel_on_random_connections(self):
+        rng = rng_for("achieve-exact-kernel")
+        runs = 0
+        while runs < 8:
+            conn = random_connection(rng)
+            n = rng.randint(0, 2)
+            E = parse_divisor(f"inf^{n}") if n else Divisor([])
+            if len(section_space_basis(conn.splitting, E)) < 2:
+                continue
+            self._check_exact_kernel(conn, E, default_base(conn) + 0.25j,
+                                     rng.randrange(conn.rank))
+            runs += 1
 
     def test_degenerate_jet(self):
         conn = zero_conn(rank=2)
         with pytest.raises(DegenerateJet):
-            achieve_multiplicity(conn, parse_divisor("inf^1"), 2.0 + 1.0j,
-                                 tol=1e-12)
+            achieve_multiplicity(conn, parse_divisor("inf^1"), 2.0 + 1.0j)
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +751,9 @@ class TestRoute:
     # radius is below 1e-9 of the approach's length (1e10j is off the line)
     @pytest.mark.parametrize("base", [3, -1, -0.5, 0.5, 1.5, 2.5, 3 + 1e-14j,
                                       3 - 1e-14j, 3 + 0.001j, 3 - 0.04j,
-                                      1e9, 1e10, 1e12, 1e14, -1e12, 1e10j])
+                                      1e9, 1e10, 1e12, 1e14, -1e12, 1e10j,
+                                      1e8 + 1e8j, 1e10 + 1e10j, 1e12 + 1e12j,
+                                      1e14 + 1e14j])
     def test_base_on_the_line_of_points(self, base):
         report = monodromy_generators(fixture("triangle-diag"), base=base)
         assert report.defect < 1e-8
