@@ -292,8 +292,12 @@ class TestArguments:
         assert "dimension 1" in err
 
     @pytest.mark.parametrize("argv", [
-        [*argv, f"--tol={tol}"] for tol in ("-1", "inf")
-        for argv in (["monodromy", "euler.conn"], ["ode", "euler.conn"])])
+        ["monodromy", "euler.conn", "--tol=-1"],
+        ["ode", "euler.conn", "--tol=-1"],
+        ["monodromy", "euler.conn", "--tol=0"],
+        ["monodromy", "euler.conn", "--tol=inf"],
+        ["ode", "euler.conn", "--tol=inf"],
+        ["monodromy", "euler.conn", "--tol=nan"]])
     def test_negative_tol(self, files, capsys, argv):
         err = self._domain_error(capsys, [argv[0], str(files / argv[1]),
                                           *argv[2:]])
