@@ -21,6 +21,7 @@ from .connection import (
     LocalData,
     ValidationReport,
     covariant_derivative,
+    covariant_jet,
     det_connection,
     dual_connection,
     local_data,

@@ -32,11 +32,12 @@ from .exactalg import (
     infinity_degree,
     laurent_coefficients,
     residue,
+    taylor_coefficients,
 )
 
 __all__ = ["Connection", "ValidationReport", "LocalData",
-           "validate", "covariant_derivative", "dual_connection",
-           "det_connection", "local_data"]
+           "validate", "covariant_derivative", "covariant_jet",
+           "dual_connection", "det_connection", "local_data"]
 
 
 @dataclass
@@ -170,6 +171,37 @@ def covariant_derivative(conn: Connection, section: Section) -> Section:
                 acc = acc + m * section.comps[j]
         comps.append(acc)
     return Section(comps, conn.splitting)
+
+
+def covariant_jet(conn: Connection, section: Section, b, depth: int) -> list:
+    """[grad^k omega (b) for k < depth] at a point b that is neither a
+    singular point nor a pole of the section.
+
+    M and omega are expanded in s = t - b to depth terms; each application
+    of d/ds + M(b + s) to the truncated series loses one term, and the
+    constant term of the k-th result is grad^k omega (b)."""
+    conn.ensure_valid()
+    if section.splitting != conn.splitting:
+        raise ValueError("section splitting does not match the connection")
+    n = conn.rank
+    w = [taylor_coefficients(c.num, c.den, b, depth) for c in section.comps]
+    m = [[(j, taylor_coefficients(e.num, e.den, b, depth - 1))
+          for j, e in enumerate(row) if not e.is_zero()]
+         for row in conn.matrix]
+    out = []
+    for k in range(depth):
+        out.append([wi[0] for wi in w])
+        nxt = []
+        for i in range(n):
+            row = [w[i][p + 1] * (p + 1) for p in range(depth - k - 1)]
+            for j, mij in m[i]:
+                wj = w[j]
+                for p in range(len(row)):
+                    for q in range(p + 1):
+                        row[p] = row[p] + mij[q] * wj[p - q]
+            nxt.append(row)
+        w = nxt
+    return out
 
 
 def dual_connection(conn: Connection) -> Connection:

@@ -544,6 +544,13 @@ def _series_quotient(num: list, den: list, order: int) -> list:
     return q
 
 
+def taylor_coefficients(num: Poly, den: Poly, c, order: int) -> list:
+    """Coefficients of (t-c)^0 .. (t-c)^(order-1) in the expansion of
+    num/den at c; den(c) != 0."""
+    return _series_quotient(list(num.shifted(c).coeffs) or [ZERO],
+                            list(den.shifted(c).coeffs), order)
+
+
 def laurent_coefficients(r: RatFun, c, jmax: int) -> list:
     """Coefficients of (t-c)^(-j) for j = 1..jmax in the expansion of r at c."""
     if r.is_zero():
@@ -552,10 +559,9 @@ def laurent_coefficients(r: RatFun, c, jmax: int) -> list:
     k, den = r.den.split_root(c)
     if k == 0:
         return [ZERO] * jmax
-    num_s = list(r.num.shifted(c).coeffs)
-    den_s = list(den.shifted(c).coeffs)  # the s^k factor split off
-    # r = (num_s / den_s) * s^(-k); need Taylor coeffs of num_s/den_s up to s^(k-1)
-    taylor = _series_quotient(num_s or [ZERO], den_s, k)
+    # r = (num / den) * s^(-k), den with the s^k factor split off; need
+    # the Taylor coefficients of num / den up to s^(k-1)
+    taylor = taylor_coefficients(r.num, den, c, k)
     out = []
     for j in range(1, jmax + 1):
         idx = k - j

@@ -37,6 +37,7 @@ from .connection import Connection
 from .errors import (
     DegenerateJet,
     InvalidArgument,
+    SingularEvaluationPoint,
     SingularityTooClose,
     StepUnderflow,
 )
@@ -565,9 +566,14 @@ def ode_residual(conn: Connection, section: Section, ode: ScalarODE, t0,
 
 def _ode_residual(conn: Connection, its: list, ode: ScalarODE, t0,
                   tol: float) -> float:
-    """ode_residual from the section's iterates grad^0 w ... grad^rank w."""
+    """ode_residual from the section's iterates grad^0 w ... grad^rank w;
+    refuses a pole of the scalar equation's coefficients, such as an
+    apparent singularity at a zero of the Wronskian."""
     z0 = _as_complex(t0)
-    _evaluation_point(conn, its[:1], t0)
+    b = _evaluation_point(conn, its[:1], t0)
+    if any(c.den.eval(b).is_zero() for c in ode.coeffs):
+        raise SingularEvaluationPoint(
+            f"t = {b} is a pole of the scalar equation")
     jet = _pairings(_dual_frame_at(conn, z0, tol)[0], its, z0)
     top = jet[conn.rank] - np.array(ode.ceval_coeffs(z0)) @ jet[:conn.rank]
     return float(np.max(np.abs(top))) / (1.0 + float(np.max(np.abs(jet))))

@@ -20,7 +20,7 @@ from .bundle import (
     chern,
     section_space_basis,
 )
-from .connection import Connection, covariant_derivative
+from .connection import Connection, covariant_derivative, covariant_jet
 from .errors import (
     DegenerateSection,
     InvalidArgument,
@@ -80,19 +80,13 @@ def iterated(conn: Connection, section: Section, k: int):
     return out
 
 
-def _wronskian_iterates(conn: Connection, section: Section):
-    """The first rank iterates of a section and their determinant."""
+def wronskian_determinant(conn: Connection, section: Section) -> RatFun:
+    """Determinant of the matrix whose columns are the first rank iterates."""
     if section.is_zero():
         raise ZeroSection("Wronskian of the zero section")
     n = conn.rank
     its = iterated(conn, section, n - 1)
-    return its, det_ratfun([[its[j].comps[i] for j in range(n)]
-                            for i in range(n)])
-
-
-def wronskian_determinant(conn: Connection, section: Section) -> RatFun:
-    """Determinant of the matrix whose columns are the first rank iterates."""
-    return _wronskian_iterates(conn, section)[1]
+    return det_ratfun([[its[j].comps[i] for j in range(n)] for i in range(n)])
 
 
 def h_bound(conn: Connection, n: int) -> int:
@@ -129,22 +123,21 @@ def generation_bound(conn: Connection, section: Section) -> int:
     return _generation_cap(conn, wronskian_determinant(conn, section))
 
 
-def _index_at(conn: Connection, its: list, b: GaussRat, cap: int) -> int:
-    """Smallest h <= cap such that the iterates its[:h] span the fiber at
-    b; extends its in place as far as needed.
+def _index_at(conn: Connection, section: Section, b: GaussRat,
+              cap: int) -> int:
+    """Smallest h <= cap such that grad^0 w(b), ..., grad^(h-1) w(b) span
+    the fiber at b, read from the section's Taylor jet at b (covariant_jet).
 
     A cap of ord_b W + rank always suffices, W the Wronskian: in a
     suitable flat frame near b the section's components vanish at b to
     distinct orders e_1 < ... < e_rank, the index is e_rank + 1, and
     e_rank - (rank - 1) <= sum_i (e_i - (i - 1)) = ord_b W."""
-    vectors = []
-    for h in range(1, cap + 1):
-        if h > len(its):
-            its.append(covariant_derivative(conn, its[-1]))
-        vectors.append(its[h - 1].eval(b))
-        pivots, _ = _row_echelon(list(vectors), conn.rank)
-        if len(pivots) == conn.rank:
-            return h
+    # columns are the values grad^k w(b); the pivot columns are the first
+    # values outside the span of the earlier ones
+    values = covariant_jet(conn, section, b, cap)
+    pivots, _ = _row_echelon([list(row) for row in zip(*values)], cap)
+    if len(pivots) == conn.rank:
+        return pivots[-1] + 1
     raise DegenerateSection(
         f"iterates do not span the fiber at t = {b} within the certified bound"
     )
@@ -165,12 +158,13 @@ def _evaluation_point(conn: Connection, sections, b) -> GaussRat:
 
 
 def generation_index_at(conn: Connection, section: Section, b) -> int:
-    """Smallest h such that the first h iterates span the fiber at b."""
+    """Smallest h such that the first h iterates span the fiber at b, read
+    from the section's Taylor jet at b up to the cap ord_b W + rank."""
     b = _evaluation_point(conn, [section], b)
-    its, a = _wronskian_iterates(conn, section)
+    a = wronskian_determinant(conn, section)
     if a.is_zero():
         raise DegenerateSection("Wronskian vanishes identically")
-    return _index_at(conn, its, b, a.num.root_multiplicity(b) + conn.rank)
+    return _index_at(conn, section, b, a.num.root_multiplicity(b) + conn.rank)
 
 
 def spanning_sections(conn: Connection, E: Divisor):
@@ -233,13 +227,13 @@ def estimate_H(conn: Connection, n: int, E: Divisor, samples: int,
                     omega = omega + b.scale(RatFun.const(c))
         if omega.is_zero():
             continue
-        its, a = _wronskian_iterates(conn, omega)
+        a = wronskian_determinant(conn, omega)
         if a.is_zero():
             # reducibility witness; the sampled estimate ignores it
             continue
-        # the iterates serve every rational zero b off the singular set,
-        # each capped by its own multiplicity (see _index_at)
-        observed = max((_index_at(conn, its, b, mult + alpha)
+        # the index at every rational zero b off the singular set, each
+        # capped by its own multiplicity (see _index_at)
+        observed = max((_index_at(conn, omega, b, mult + alpha)
                         for _, mult, roots, _ in _root_factors(a.num)
                         for b in roots if b not in sing), default=alpha)
         if observed > max_observed:

@@ -2,15 +2,18 @@
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from meroconn import (Section, fixture, fixture_file, fixture_names, iterated,
                       parse_ratfun)
 from meroconn.cli import main, parse_connection_file
+from meroconn.monodromy import period_jet
 from meroconn.errors import ParseError, ValidationFailed
 from helpers import run_json
 
@@ -270,12 +273,32 @@ class TestArguments:
         assert "dual index -1" in err
 
     def test_achieve_base_across_a_pole(self, files):
-        # the segment from the default base 3+i to -1-i runs through t = 1
+        # achieve solves its exact kernel at t0 = -1-i and transports
+        # nothing, so the low jet entries are exactly 0
         code, report = run_json(["achieve", str(files / "tri.conn"), "--n",
                                  "1", "--base=-1-1j"])
         assert code == 0
         jet = report["results"]["jet_magnitudes"]
-        assert max(jet[:-1]) < 1e-6 * jet[-1]
+        assert max(jet[:-1]) == 0 < jet[-1]
+        # period_jet transports from the default base 3+i along a segment
+        # that runs through t = 1, so it detours on the loop circle there:
+        # t0 lies on the cut behind 1, and its frame must continue the one
+        # on a side of the cut (a 5-term Taylor step of length 0.01)
+        conn = fixture("triangle-diag")
+        section = Section([parse_ratfun(c)
+                           for c in report["results"]["section"]],
+                          conn.splitting)
+        t0, depth = -1 - 1j, 5
+        at = period_jet(conn, section, t0, depth)
+        assert at.transport_error < 1e-10
+        normal = 0.01j * (2 + 1j) / abs(2 + 1j)
+        misses = []
+        for h in (normal, -normal):
+            near = period_jet(conn, section, t0 + h, 1).jet[0]
+            taylor = sum(at.jet[k] * h ** k / math.factorial(k)
+                         for k in range(depth))
+            misses.append(np.max(np.abs(near - taylor)))
+        assert min(misses) < 1e-9 * np.max(np.abs(at.jet))
 
     def test_far_base_fails_cleanly(self, files):
         # on a 1e20-long approach a chord near the loops is too short to
@@ -341,6 +364,10 @@ class TestArguments:
         (["achieve", "--n", "1", "--pole-divisor", "5^1", "--base", "5"],
          "t = 5 is a pole"),
         (["ode", "--section=1/(t-3-5/4i),0"], "t = 3+5/4i is a pole"),
+        # a section vanishing at the probe puts an apparent singularity of
+        # the scalar equation there
+        (["ode", "--section=t-3-5/4i,0"],
+         "t = 3+5/4i is a pole of the scalar equation"),
     ])
     def test_out_of_range_argument_is_domain_error(self, files, capsys, argv,
                                                    message):

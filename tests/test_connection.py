@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from meroconn import (
     Connection,
@@ -16,11 +18,13 @@ from meroconn import (
     SplittingType,
     chern,
     covariant_derivative,
+    covariant_jet,
     det_connection,
     dual_connection,
     fixture,
     fixture_names,
     infinity_degree,
+    iterated,
     local_data,
     pole_profile,
     residue,
@@ -30,6 +34,7 @@ from meroconn.errors import NotASingularPoint, ValidationFailed
 from helpers import (
     lin,
     rand_fraction,
+    rand_gauss,
     random_connection,
     random_poly_section,
     random_rank1_connection,
@@ -279,6 +284,29 @@ class TestCovariantDerivative:
             _, m_out, _ = pole_profile(out, allowed)
             assert m_out == m - 1
             checked += 1
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.sampled_from([*fixture_names(), "random"]),
+       st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.integers(min_value=0, max_value=5))
+@example("two-point-reducible", 0, 5)
+def test_covariant_jet_matches_iterates(source, seed, k):
+    # the Taylor jet at b against the exact iterates evaluated at b, for
+    # k <= rank + 3, a section with a pole at a random Gaussian integer
+    # and random Gaussian-rational points b off the divisor and that pole
+    rng = random.Random(seed)
+    conn = fixture(source) if source != "random" else random_connection(rng)
+    pole = rand_gauss(rng, -4, 4)
+    section = random_poly_section(rng, conn, deg=1).scale(
+        RatFun(Poly.const(1), Poly.from_roots([pole])))
+    k = min(k, conn.rank + 3)
+    its = iterated(conn, section, k)
+    for _ in range(3):
+        b = GaussRat(rand_fraction(rng), rand_fraction(rng))
+        if b != pole and b not in conn.singular_points:
+            assert covariant_jet(conn, section, b, k + 1) == \
+                [it.eval(b) for it in its]
 
 
 class TestDual:

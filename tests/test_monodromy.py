@@ -808,9 +808,10 @@ class TestRoute:
         assert jet.transport_error < 1e-10
         ode = cyclic_reduce(conn, omega)
         assert ode_residual(conn, omega, ode, t0) < 1e-8
+        # achieve_with_jet solves its exact kernel at t0 and transports
+        # nothing: the low entries are exactly 0 this close to the pole too
         omega, jet = achieve_with_jet(conn, parse_divisor("inf^1"), t0)
-        top = abs(jet.jet[-1, 0])
-        assert np.max(np.abs(jet.jet[:-1, 0])) < 1e-7 * top
+        assert not jet.jet[:-1, 0].any() and jet.jet[-1, 0] != 0
 
     def test_return_leg_reverses_the_approach(self):
         spec = loop_paths(fixture("triangle-diag"), base=3)

@@ -452,6 +452,10 @@ class TestDerivedOnce:
         report = estimate_H(conn, 2, parse_divisor("inf^2"), 10, seed=1)
         assert report.max_observed_generation > conn.rank
         assert counts["det_ratfun"] == 10
+        # the index at a zero is read from the Taylor jet there, so each
+        # sample forms only the rank - 1 RatFun derivatives its Wronskian
+        # needs
+        assert counts["covariant_derivative"] == 10
 
     def test_estimate_h_decomposes_each_numerator_once(self, monkeypatch):
         decomposed, numerators = [], []
