@@ -25,8 +25,8 @@ from .connection import Connection, local_data
 from .errors import (InvalidArgument, ParseError, ToolkitError,
                      ValidationFailed)
 from .exactalg import _root_factors, parse_gaussrat, parse_ratfun
-from .monodromy import (_check_tol, _ode_residual, achieve_with_jet,
-                        default_base, monodromy_generators)
+from .monodromy import (_check_tol, achieve_with_jet, default_base,
+                        monodromy_generators, ode_residual)
 from .wronskian import (_apparent_report, _check_twist, _eliminate,
                         _generation_cap, _reduce, _residue_records, estimate_H,
                         fuchs_check, h_bound, iterated, wronskian_determinant)
@@ -243,8 +243,7 @@ def _cmd_ode(args):
     conn, inputs = _load(args)
     section = _section_from_arg(conn, args.section)
     _check_tol(args.tol)
-    its = iterated(conn, section, conn.rank)   # shared with the period jet
-    _, ode = _eliminate(conn, its)
+    _, ode = _eliminate(conn, iterated(conn, section, conn.rank))
     verdicts = fuchs_check(ode, conn.singular_points)
     return 0, inputs, {
         "order": ode.order,
@@ -255,8 +254,8 @@ def _cmd_ode(args):
                             for k, p, al in bad]}
             for b, ok, bad in verdicts
         ],
-        "residual_at_base": _ode_residual(conn, its, ode,
-                                          _default_probe(conn), args.tol),
+        "residual_at_base": ode_residual(conn, section, ode,
+                                         _default_probe(conn), args.tol),
     }
 
 

@@ -7,16 +7,21 @@ q Y' = -P Y (q the monic common denominator of M, P = q M) and sums Taylor
 series by their recurrence (van der Hoeven, "Fast evaluation of holonomic
 functions", 1999).  A path is cut into chords fixed by its geometry: none
 longer than a third of the distance to the nearest singular point.  One
-batched recurrence forms, for every chord of the path at once, the series
-of the frame that is the identity at the chord's start, with the certified
-truncation bound of each partial sum.  A walk along the chords, from the
-identity frame Y = I, multiplies Y by each chord's partial sum at the
-first order K whose bound times |Y| (|Z_k Y| <= |Z_k| |Y| in the infinity
-norm) is at most tol times the chord's share of its piece, or 1e-15 |Y|;
-the batch grows when no formed order meets that.  A report's transport
-error sums these bounds; roundoff and the growth of earlier errors are
-not in it, and det_defect shows them.  Each generator also reports its steps,
-largest order, least clearance and summed bound (TransportDiagnostics).
+batched recurrence forms, for every chord of every path of a call at once,
+the series of the frame that is the identity at the chord's start, with the
+certified truncation bound of each partial sum.  A walk along each path's
+chords, from the identity frame Y = I, multiplies Y by each chord's partial
+sum at the first order K whose bound times |Y| (|Z_k Y| <= |Z_k| |Y| in the
+infinity norm) is at most tol times the chord's share of its piece, or
+1e-15 |Y|.  The batch starts at the order that the chords' own decay,
+(|h| / rho)^k, and growth bound predict, and grows when no formed order
+meets a target.  A loop is walked over its approach A and then its circle,
+from A, to C A; the return leg mirrors the approach, so the generator is
+A^-1 (C A) and the return leg is not walked.  A report's transport error
+sums the walked bounds and charges the return leg the approach's sum;
+roundoff and the growth of earlier errors are not in it, and det_defect
+shows them.  Each generator also reports its walked steps, largest order,
+least clearance and summed bound (TransportDiagnostics).
 All numerics are double precision.  A loop's approach from the base, and
 the segment from the default base to a jet's point, are straight except
 where they would pass within a tenth of a loop radius of a singular point:
@@ -33,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bundle import Divisor, Section, section_space_basis
-from .connection import Connection
+from .connection import Connection, covariant_jet
 from .errors import (
     DegenerateJet,
     InvalidArgument,
@@ -179,7 +184,8 @@ _ROUNDOFF = 1e-15        # floor of a step's tail target, relative to |Y|
 
 @dataclass
 class TransportDiagnostics:
-    """Steps, largest order, least clearance and summed tail bounds."""
+    """Steps walked, largest order, least clearance and summed tail
+    bounds; a loop's sum charges its unwalked return leg the approach's."""
 
     steps: int = 0
     max_order: int = 0
@@ -228,7 +234,9 @@ class _Series:
         #                                 + i sum_{j>K-i} |q_j|).
         # Past A = 709 the factor is inf, and no order meets a target.
         lq = sum(k * np.log(np.abs(z - c) - np.abs(h)) for c, k in rhs.roots)
-        self.pre = np.exp(pn.sum(axis=1) * np.exp(-lq) - lq)
+        psum = pn.sum(axis=1)
+        self.pre = np.exp(psum * np.exp(-lq) - lq)
+        self.h, self.top = h, self.pre * psum
         Ps = np.cumsum(pn[:, ::-1], axis=1)[:, ::-1]
         Qs = np.cumsum(qa[:, ::-1], axis=1)[:, ::-1] - qa
         self.PQ = np.stack([Ps, Qs], axis=1)[:, :, ::-1, None]
@@ -246,6 +254,15 @@ class _Series:
         self.X = np.zeros((S, L, n, n), dtype=complex)
         self.X[:, L - 1] = eye
         self.L, self.order = L, 0
+
+    @np.errstate(divide="ignore", invalid="ignore")
+    def first_order(self, targets: np.ndarray, rho: np.ndarray) -> int:
+        """An order that meets every chord's target, or nearly: |Z_k|
+        falls about like (|h| / rho)^k, so the bound of order K is about
+        pre sum_j |P_j| (|h| / rho)^K.  Four orders more cover the growth
+        of |Y| and the powers of k that the estimate leaves out."""
+        need = np.log(self.top / targets) / np.log(rho / np.abs(self.h))
+        return int(min(np.fmax.reduce(need, initial=0.0) + 4, _MAX_ORDER))
 
     @np.errstate(over="ignore", invalid="ignore")
     def extend(self, order: int):
@@ -301,42 +318,50 @@ def _chords(sings: list, pieces) -> list:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _transport(rhs: _TaylorStepper, pieces, tol: float):
-    """(flat frame at the end of the pieces, identity at their start;
-    TransportDiagnostics).  One batched recurrence gives every chord's
-    series; the walk multiplies Y by the partial sum of each chord's first
-    order K whose bound, times |Y|, is at most tol times the chord's share
-    of its piece (times |Y| when |Y| < 1), or the roundoff floor.  When no
-    formed order of a chord meets its target, the batch grows by half
-    again, at least 4 terms, up to _MAX_ORDER."""
+def _transport(rhs: _TaylorStepper, paths, tol: float) -> list:
+    """[(ends, TransportDiagnostics)] for each path, a list of pieces walked
+    from the identity frame: ends holds (frame, summed bound) at the path's
+    start and at the end of each of its pieces.  One batched recurrence
+    gives the series of every chord of every path; the walk multiplies Y
+    by the partial sum of each chord's first order K whose bound, times
+    |Y|, is at most tol times the chord's share of its piece (times |Y|
+    when |Y| < 1), or the roundoff floor.  When no formed order of a chord
+    meets its target, the batch grows by half again, at least 4 terms, up
+    to _MAX_ORDER."""
     _check_tol(tol)
-    y = np.eye(rhs.rank, dtype=complex)
-    diag = TransportDiagnostics()
-    chords = _chords(rhs.sings, pieces)
-    if not chords:
-        return y, diag
-    z, h, ds, rho = (np.array(c) for c in zip(*chords))
-    top = _MAX_ORDER
-    series = _Series(rhs, z, h)
-    series.extend(max(1, min(
-        math.ceil(-math.log(max(tol, _ROUNDOFF)) / math.log(3)), top)))
-    for i in range(len(z)):
-        ynorm = float(np.abs(y).sum(axis=1).max())
-        target = max(tol * ds[i] * min(1.0, ynorm), _ROUNDOFF * ynorm)
-        while not (series.bounds[i] * ynorm <= target).any():
-            if series.order == top:
-                raise StepUnderflow(
-                    f"no order up to {top} meets the tail target")
-            series.extend(min(top, series.order
-                              + max(4, series.order // 2)))
-        bounds = series.bounds[i] * ynorm
-        K = int(np.argmax(bounds <= target))
-        y = series.Z[i, :K + 1].sum(axis=0) @ y
-        diag.steps += 1
-        diag.max_order = max(diag.max_order, K)
-        diag.min_clearance = min(diag.min_clearance, rho[i])
-        diag.tail_bound += float(bounds[K])
-    return y, diag
+    chords = [[_chords(rhs.sings, [piece]) for piece in path]
+              for path in paths]
+    flat = [c for path in chords for piece in path for c in piece]
+    if flat:
+        z, h, ds, rho = (np.array(c) for c in zip(*flat))
+        series = _Series(rhs, z, h)
+        series.extend(series.first_order(np.maximum(tol * ds, _ROUNDOFF),
+                                         rho))
+    top, out, i = _MAX_ORDER, [], 0
+    for path in chords:
+        y, diag = np.eye(rhs.rank, dtype=complex), TransportDiagnostics()
+        ends = [(y, 0.0)]
+        for piece in path:
+            for _ in piece:
+                ynorm = float(np.abs(y).sum(axis=1).max())
+                target = max(tol * ds[i] * min(1.0, ynorm), _ROUNDOFF * ynorm)
+                while not (series.bounds[i] * ynorm <= target).any():
+                    if series.order == top:
+                        raise StepUnderflow(
+                            f"no order up to {top} meets the tail target")
+                    series.extend(min(top, series.order
+                                      + max(4, series.order // 2)))
+                bounds = series.bounds[i] * ynorm
+                K = int(np.argmax(bounds <= target))
+                y = series.Z[i, :K + 1].sum(axis=0) @ y
+                diag.steps += 1
+                diag.max_order = max(diag.max_order, K)
+                diag.min_clearance = min(diag.min_clearance, rho[i])
+                diag.tail_bound += float(bounds[K])
+                i += 1
+            ends.append((y, diag.tail_bound))
+        out.append((ends, diag))
+    return out
 
 
 def transport(conn: Connection, path, v0, tol: float = 1e-12) -> np.ndarray:
@@ -351,7 +376,8 @@ def transport(conn: Connection, path, v0, tol: float = 1e-12) -> np.ndarray:
             f"transport starts from rank {conn.rank} rows, a vector or a "
             f"matrix; v0 has shape {v0.shape}")
     pieces = [path] if isinstance(path, (Line, Arc)) else list(path)
-    return _transport(_TaylorStepper(conn), pieces, tol)[0] @ v0
+    (ends, _), = _transport(_TaylorStepper(conn), [pieces], tol)
+    return ends[-1][0] @ v0
 
 
 # ---------------------------------------------------------------------------
@@ -392,14 +418,21 @@ class MonodromyReport:
 
 def monodromy_generators(conn: Connection, base=None,
                          tol: float = 1e-12) -> MonodromyReport:
-    """Transport the identity frame around each singular point."""
+    """Transport the identity frame around each singular point.  Each
+    loop's approach A and circle C are walked in one batch, the circle
+    from A; the return leg mirrors the approach, so the generator is
+    A^-1 C A, and the return leg is charged the approach's summed bound."""
     conn.ensure_valid()
     spec = loop_paths(conn, base)
     n = conn.rank
-    rhs = _TaylorStepper(conn)
-    results = [_transport(rhs, loop, tol) for loop in spec.loops]
-    Ts = [r[0] for r in results]
-    diags = [r[1] for r in results]
+    Ts, diags = [], []
+    # a loop is its approach, its circle and the approach reversed
+    legs = [loop[:len(loop) // 2 + 1] for loop in spec.loops]
+    for ends, diag in _transport(_TaylorStepper(conn), legs, tol):
+        (A, approach), (CA, _) = ends[-2], ends[-1]
+        Ts.append(np.linalg.solve(A, CA))
+        diag.tail_bound += approach
+        diags.append(diag)
     eye = np.eye(n, dtype=complex)
     prod = eye
     for T in Ts:                       # first loop applied first
@@ -526,13 +559,14 @@ def _dual_frame_at(conn: Connection, t0: complex, tol: float):
     along the route that detours on the loop circles."""
     rhs, base = _TaylorStepper(conn), default_base(conn)
     radii = _loops(rhs.sings, base)[0]
-    T, diag = _transport(rhs, _route(base, t0, rhs.sings, radii), tol)
-    return np.linalg.inv(T).T, diag.tail_bound
+    (ends, diag), = _transport(rhs, [_route(base, t0, rhs.sings, radii)], tol)
+    return np.linalg.inv(ends[-1][0]).T, diag.tail_bound
 
 
-def _pairings(U: np.ndarray, its, z0: complex) -> np.ndarray:
-    """Row i pairs its[i], evaluated at z0, with each column of U."""
-    return np.array([it.ceval(z0) for it in its], dtype=complex) @ U
+def _pairings(U: np.ndarray, jet: list) -> np.ndarray:
+    """Row k pairs grad^k w (t0), the exact values jet[k], with each column
+    of U."""
+    return np.array([[x.to_complex() for x in row] for row in jet]) @ U
 
 
 def _as_complex(t0) -> complex:
@@ -545,36 +579,31 @@ def _as_complex(t0) -> complex:
 def period_jet(conn: Connection, section: Section, t0, depth: int,
                tol: float = 1e-12) -> PeriodJet:
     """Jet of the pairings of the flat dual frame U = T^{-T} with the
-    covariant-derivative iterates of an exact section."""
+    covariant-derivative iterates of an exact section, whose values at t0
+    are read from the section's Taylor jet there (covariant_jet)."""
     if depth < 1:
         raise InvalidArgument("depth must be >= 1")
     conn.ensure_valid()
     z0 = _as_complex(t0)
-    _evaluation_point(conn, [section], t0)
+    b = _evaluation_point(conn, [section], t0)
     U, err = _dual_frame_at(conn, z0, tol)
-    jet = _pairings(U, iterated(conn, section, depth - 1), z0)
+    jet = _pairings(U, covariant_jet(conn, section, b, depth))
     return PeriodJet(base=z0, depth=depth, jet=jet, transport_error=err)
 
 
 def ode_residual(conn: Connection, section: Section, ode: ScalarODE, t0,
                  tol: float = 1e-12) -> float:
-    """Normalized defect of the scalar equation on the numeric period jet."""
+    """Normalized defect of the scalar equation on the numeric period jet of
+    depth rank + 1; refuses a pole of the scalar equation's coefficients,
+    such as an apparent singularity at a zero of the Wronskian."""
     conn.ensure_valid()
-    return _ode_residual(conn, iterated(conn, section, conn.rank), ode, t0,
-                         tol)
-
-
-def _ode_residual(conn: Connection, its: list, ode: ScalarODE, t0,
-                  tol: float) -> float:
-    """ode_residual from the section's iterates grad^0 w ... grad^rank w;
-    refuses a pole of the scalar equation's coefficients, such as an
-    apparent singularity at a zero of the Wronskian."""
     z0 = _as_complex(t0)
-    b = _evaluation_point(conn, its[:1], t0)
+    b = _evaluation_point(conn, [section], t0)
     if any(c.den.eval(b).is_zero() for c in ode.coeffs):
         raise SingularEvaluationPoint(
             f"t = {b} is a pole of the scalar equation")
-    jet = _pairings(_dual_frame_at(conn, z0, tol)[0], its, z0)
+    jet = _pairings(_dual_frame_at(conn, z0, tol)[0],
+                    covariant_jet(conn, section, b, conn.rank + 1))
     top = jet[conn.rank] - np.array(ode.ceval_coeffs(z0)) @ jet[:conn.rank]
     return float(np.max(np.abs(top))) / (1.0 + float(np.max(np.abs(jet))))
 

@@ -181,7 +181,9 @@ class TestIrregularPoint:
     def test_line_into_growth_within_bound(self):
         conn = irregular_conn(2)
         stepper = monodromy_mod._TaylorStepper(conn)
-        y, diag = monodromy_mod._transport(stepper, [Line(1.0, 0.1)], 1e-8)
+        (ends, diag), = monodromy_mod._transport(stepper, [[Line(1.0, 0.1)]],
+                                                 1e-8)
+        y = ends[-1][0]
         assert abs(y[0, 0] - math.exp(9)) <= diag.tail_bound + 1e-13
 
 
@@ -343,6 +345,22 @@ class TestIrreducibility:
         assert margins["euler-half"] == 1.0
 
 
+def _jet_cases():
+    """(connection, section, t0): a section of each fixture, and the
+    section achieve finds on triangle-diag at -1-i."""
+    cases = []
+    for name in ("euler-half", "triangle-nilpotent", "triangle-diag",
+                 "two-point-reducible"):
+        conn = fixture(name)
+        comps = [T * T + ONE, T - RatFun.const(3)][:conn.rank]
+        cases.append(pytest.param(conn, Section(comps, conn.splitting),
+                                  2.5 + 0.5j, id=name))
+    conn = fixture("triangle-diag")
+    omega = achieve_multiplicity(conn, parse_divisor("inf^1"), -1 - 1j)
+    cases.append(pytest.param(conn, omega, -1 - 1j, id="achieve-section"))
+    return cases
+
+
 class TestPeriodJet:
     def test_depth_below_one_is_invalid_argument(self):
         conn = fixture("euler-half")
@@ -376,6 +394,15 @@ class TestPeriodJet:
         fd = (plus.jet[0] - minus.jet[0]) / (2 * h)
         scale = max(1.0, float(np.max(np.abs(jet.jet))))
         assert np.max(np.abs(fd - jet.jet[1])) < 1e-5 * scale
+
+    @pytest.mark.parametrize("conn, omega, t0", _jet_cases())
+    def test_depth4_matches_evaluated_iterates(self, conn, omega, t0):
+        # the jet reads grad^k w (t0) from the Taylor jet at t0; the
+        # RatFun iterates evaluated at t0 give the same values
+        U = monodromy_mod._dual_frame_at(conn, t0, 1e-12)[0]
+        old = np.array([it.ceval(t0) for it in iterated(conn, omega, 3)]) @ U
+        new = period_jet(conn, omega, t0, depth=4).jet
+        assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
 
 
 class TestOdeResidual:
@@ -679,6 +706,26 @@ class TestTaylorOracle:
             assert err <= diag.tail_bound + 1e-13, (name, tol, err, diag)
 
 
+class TestInvertedReturnLeg:
+    """A generator is A^-1 C A, from the approach A and the circle C walked
+    from A.  Transporting the whole loop, return leg included, gives the
+    same matrix within the two summed bounds."""
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES + ("direct-sum-3",
+                                                      "rank4"))
+    def test_matches_full_loop(self, name):
+        conn = _wider(name) if name in _WIDER_RESIDUES else fixture(name)
+        report = monodromy_generators(conn, tol=1e-10)
+        full = monodromy_mod._transport(monodromy_mod._TaylorStepper(conn),
+                                        loop_paths(conn).loops, 1e-10)
+        for T, diag, (ends, whole) in zip(report.matrices,
+                                          report.diagnostics, full):
+            err = float(np.max(np.abs(T - ends[-1][0])))
+            assert err <= diag.tail_bound + whole.tail_bound, (name, err)
+            # the return leg is not walked
+            assert diag.steps < whole.steps
+
+
 class TestTransportMemory:
     def test_rank4_loop_peak(self):
         # the longest loop of a rank-4 system, at the benchmark's tol
@@ -689,11 +736,23 @@ class TestTransportMemory:
                                                               loop)))
         tracemalloc.start()
         try:
-            monodromy_mod._transport(rhs, loop, 1e-8)
+            monodromy_mod._transport(rhs, [loop], 1e-8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 2 ** 20
+
+    def test_rank4_call_peak(self):
+        # one batch holds the approach and circle of every loop; its peak
+        # read 1.29 MiB, which the bound doubles
+        conn = _wider("rank4")
+        tracemalloc.start()
+        try:
+            monodromy_generators(conn, tol=1e-8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.6 * 2 ** 20
 
     @pytest.mark.parametrize("name", ["euler-half", "triangle-nilpotent",
                                       "triangle-diag", "two-point-reducible"])
@@ -712,8 +771,12 @@ class TestTransportMemory:
         rhs = monodromy_mod._TaylorStepper(conn)
         for loop in loop_paths(conn).loops:
             built.clear()
-            monodromy_mod._transport(rhs, loop, 1e-12)
+            monodromy_mod._transport(rhs, [loop], 1e-12)
             assert len(built) <= 1
+        # and one batch serves every loop of a monodromy call
+        built.clear()
+        monodromy_generators(conn, tol=1e-12)
+        assert len(built) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -482,7 +482,8 @@ class TestDerivedOnce:
         assert decomposed == numerators
 
     def test_ode_derives_rank_iterates(self, counts, tri):
-        # the scalar equation and the period jet share grad^0 w ... grad^2 w
+        # the scalar equation derives grad^1 w and grad^2 w; the period jet
+        # reads their values at the probe from the Taylor jet
         code, report = run_json(["ode", tri, "--section=t^2+1,t-3"])
         assert code == 0 and report["results"]["residual_at_base"] < 1e-8
         assert counts["covariant_derivative"] == 2
