@@ -27,9 +27,9 @@ from .errors import (InvalidArgument, ParseError, ToolkitError,
 from .exactalg import _root_factors, parse_gaussrat, parse_ratfun
 from .monodromy import (_check_tol, achieve_with_jet, default_base,
                         monodromy_generators, ode_residual)
-from .wronskian import (_apparent_report, _check_twist, _eliminate,
-                        _generation_cap, _reduce, _residue_records, estimate_H,
-                        fuchs_check, h_bound, iterated, wronskian_determinant)
+from .wronskian import (_apparent_report, _check_twist, _generation_cap,
+                        _reduce, _residue_records, estimate_H, fuchs_check,
+                        h_bound, iterated, wronskian_determinant)
 
 __all__ = ["parse_connection_file", "main"]
 
@@ -243,7 +243,7 @@ def _cmd_ode(args):
     conn, inputs = _load(args)
     section = _section_from_arg(conn, args.section)
     _check_tol(args.tol)
-    _, ode = _eliminate(conn, iterated(conn, section, conn.rank))
+    _, ode = _reduce(conn, section)
     verdicts = fuchs_check(ode, conn.singular_points)
     return 0, inputs, {
         "order": ode.order,

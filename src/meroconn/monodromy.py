@@ -454,9 +454,8 @@ def monodromy_generators(conn: Connection, base=None,
         diagnostics=diags)
 
 
-# seed of the verdict's random draws: the weights of the rank <= 3
-# algebra element, and the rank >= 4 orbits of _ORBIT_TRIALS vectors
-_ORBIT_TRIALS = 20
+# seed of the verdict's random draws: the weights of the two algebra
+# elements, then the vector whose orbit is spanned
 _VERDICT_SEED = 0
 
 
@@ -479,7 +478,28 @@ def _eigen_line(Ts, rng):
                 for v in np.linalg.eig(A)[1].T), key=lambda rv: rv[0])
 
 
+def _orbit(Ts, v):
+    """Orthonormal basis of the span of the words in the T_k applied to v:
+    each round spans Q and every T_k Q, until the dimension stops growing."""
+    Q = (v / np.linalg.norm(v))[:, None]
+    while Q.shape[1] < len(v):
+        U, s, _ = np.linalg.svd(np.hstack([Q] + [T @ Q for T in Ts]),
+                                full_matrices=False)
+        r = int(np.sum(s > 1e-8 * s[0]))
+        if r <= Q.shape[1]:
+            break
+        Q = U[:, :r]
+    return Q
+
+
 def _verdict_from_generators(Ts, n, defect) -> IrreducibilityVerdict:
+    """Search for an invariant line of the T_k and of their transposes (an
+    invariant hyperplane), then span the orbit of one seeded vector: a
+    module with no cyclic vector keeps every orbit proper.  The margin, in
+    [0, 1], is the relative residual of the proper orbit, or else of the
+    best line.  Invariant subspaces of dimension 2 .. n-2 of a cyclic
+    module, such as a direct sum of two irreducible rank-2 systems, are
+    not seen."""
     if n == 1:
         return IrreducibilityVerdict("irreducible", margin=1.0)
     if not Ts:
@@ -488,50 +508,24 @@ def _verdict_from_generators(Ts, n, defect) -> IrreducibilityVerdict:
                                      witness_kind="line", margin=0.0)
     accept = max(1e-6, 100.0 * defect)
     rng = random.Random(_VERDICT_SEED)
-    if n <= 3:
-        # an invariant hyperplane is an invariant line of the transposes;
-        # the margin is the smaller relative residual, in [0, 1]
-        (resid, vec), kind = min(
-            (_eigen_line(Ts, rng), "line"),
-            (_eigen_line([T.T for T in Ts], rng), "hyperplane"),
-            key=lambda found: found[0][0])
-        if resid < accept:
-            return IrreducibilityVerdict("reducible", witness=vec,
-                                         witness_kind=kind, margin=resid)
-        return IrreducibilityVerdict(
-            "irreducible" if resid > 1e-3 else "inconclusive", margin=resid)
-    # higher rank: randomized orbit spanning
-    for _ in range(_ORBIT_TRIALS):
-        v = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1))
-                      for _ in range(n)])
-        basis = [v / np.linalg.norm(v)]
-        grew = True
-        while grew and len(basis) < n:
-            grew = False
-            for T in Ts:
-                for b in list(basis):
-                    w = T @ b
-                    for q in basis:
-                        w = w - np.vdot(q, w) * q
-                    norm = np.linalg.norm(w)
-                    if norm > 1e-8:
-                        basis.append(w / norm)
-                        grew = True
-                        if len(basis) == n:
-                            break
-                if len(basis) == n:
-                    break
-        if len(basis) < n:
-            Q = np.stack(basis, axis=1)
-            resid = max(
-                float(np.linalg.norm(T @ Q - Q @ (Q.conj().T @ T @ Q)))
-                for T in Ts)
-            if resid < accept:
-                return IrreducibilityVerdict("reducible", witness=Q,
-                                             witness_kind="subspace",
-                                             margin=resid)
-            return IrreducibilityVerdict("inconclusive", margin=resid)
-    return IrreducibilityVerdict("irreducible", margin=1.0)
+    (resid, vec), kind = min(
+        (_eigen_line(Ts, rng), "line"),
+        (_eigen_line([T.T for T in Ts], rng), "hyperplane"),
+        key=lambda found: found[0][0])
+    if resid >= accept:
+        Q = _orbit(Ts, np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                                 for _ in range(n)]))
+        if Q.shape[1] < n:
+            # relative, as a line's: in [0, 1]
+            resid, vec, kind = max(
+                float(np.linalg.norm(W - Q @ (Q.conj().T @ W))
+                      / max(1e-300, np.linalg.norm(W)))
+                for W in (T @ Q for T in Ts)), Q, "subspace"
+    if resid < accept:
+        return IrreducibilityVerdict("reducible", witness=vec,
+                                     witness_kind=kind, margin=resid)
+    return IrreducibilityVerdict(
+        "irreducible" if resid > 1e-3 else "inconclusive", margin=resid)
 
 
 def irreducibility_check(conn: Connection,
@@ -563,12 +557,6 @@ def _dual_frame_at(conn: Connection, t0: complex, tol: float):
     return np.linalg.inv(ends[-1][0]).T, diag.tail_bound
 
 
-def _pairings(U: np.ndarray, jet: list) -> np.ndarray:
-    """Row k pairs grad^k w (t0), the exact values jet[k], with each column
-    of U."""
-    return np.array([[x.to_complex() for x in row] for row in jet]) @ U
-
-
 def _as_complex(t0) -> complex:
     z = t0.to_complex() if isinstance(t0, GaussRat) else complex(t0)
     if not cmath.isfinite(z):
@@ -579,15 +567,17 @@ def _as_complex(t0) -> complex:
 def period_jet(conn: Connection, section: Section, t0, depth: int,
                tol: float = 1e-12) -> PeriodJet:
     """Jet of the pairings of the flat dual frame U = T^{-T} with the
-    covariant-derivative iterates of an exact section, whose values at t0
-    are read from the section's Taylor jet there (covariant_jet)."""
+    covariant-derivative iterates of an exact section: row k pairs
+    grad^k w (t0), read exactly from the section's Taylor jet there
+    (covariant_jet), with each column of U."""
     if depth < 1:
         raise InvalidArgument("depth must be >= 1")
     conn.ensure_valid()
     z0 = _as_complex(t0)
     b = _evaluation_point(conn, [section], t0)
     U, err = _dual_frame_at(conn, z0, tol)
-    jet = _pairings(U, covariant_jet(conn, section, b, depth))
+    jet = np.array([[x.to_complex() for x in row]
+                    for row in covariant_jet(conn, section, b, depth)]) @ U
     return PeriodJet(base=z0, depth=depth, jet=jet, transport_error=err)
 
 
@@ -602,8 +592,7 @@ def ode_residual(conn: Connection, section: Section, ode: ScalarODE, t0,
     if any(c.den.eval(b).is_zero() for c in ode.coeffs):
         raise SingularEvaluationPoint(
             f"t = {b} is a pole of the scalar equation")
-    jet = _pairings(_dual_frame_at(conn, z0, tol)[0],
-                    covariant_jet(conn, section, b, conn.rank + 1))
+    jet = period_jet(conn, section, t0, conn.rank + 1, tol).jet
     top = jet[conn.rank] - np.array(ode.ceval_coeffs(z0)) @ jet[:conn.rank]
     return float(np.max(np.abs(top))) / (1.0 + float(np.max(np.abs(jet))))
 

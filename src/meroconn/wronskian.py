@@ -245,18 +245,14 @@ def estimate_H(conn: Connection, n: int, E: Divisor, samples: int,
 
 
 def _reduce(conn: Connection, section: Section):
-    """(Wronskian, scalar equation) of a section; see _eliminate."""
-    return _eliminate(conn, iterated(conn, section, conn.rank))
-
-
-def _eliminate(conn: Connection, its: list):
-    """(Wronskian, scalar equation) from one elimination of the iterates
-    [grad^0 w ... grad^(a-1) w | grad^a w]: the pivot count tests
-    cyclicity, the signed pivot product is the Wronskian (det_ratfun finds
-    the same pivots), and back-substitution gives the coefficients."""
-    if its[0].is_zero():
+    """(Wronskian, scalar equation) of a section, from one elimination of
+    its iterates [grad^0 w ... grad^(a-1) w | grad^a w]: the pivot count
+    tests cyclicity, the signed pivot product is the Wronskian (det_ratfun
+    finds the same pivots), and back-substitution gives the coefficients."""
+    if section.is_zero():
         raise ZeroSection("Wronskian of the zero section")
     alpha = conn.rank
+    its = iterated(conn, section, alpha)
     M = [[its[j].comps[i] for j in range(alpha + 1)] for i in range(alpha)]
     pivots, swaps = _row_echelon(M, alpha)
     if len(pivots) < alpha:

@@ -333,7 +333,7 @@ class TestArguments:
             raise AssertionError("the iterates were derived before the tol "
                                  "check")
 
-        monkeypatch.setattr("meroconn.cli.iterated", refuse)
+        monkeypatch.setattr("meroconn.wronskian.iterated", refuse)
         err = self._domain_error(capsys, ["ode", str(files / "euler.conn"),
                                           f"--tol={tol}"])
         assert "tol must be positive" in err

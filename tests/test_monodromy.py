@@ -269,10 +269,19 @@ class TestMonodromyGenerators:
 
 
 def _assert_witness(verdict, mats):
-    """The verdict's line (or hyperplane: a line of the transposes) is kept
-    by every generator."""
+    """The verdict's line (or hyperplane: a line of the transposes, or
+    proper subspace: orthonormal columns) is kept by every generator."""
     assert verdict.kind == "reducible"
     assert verdict.witness is not None
+    if verdict.witness_kind == "subspace":
+        Q = verdict.witness
+        assert 0 < Q.shape[1] < len(Q)
+        assert np.allclose(Q.conj().T @ Q, np.eye(Q.shape[1]))
+        for T_c in mats:
+            W = T_c @ Q
+            assert np.linalg.norm(W - Q @ (Q.conj().T @ W)) \
+                < 1e-6 * np.linalg.norm(W)
+        return
     v = np.asarray(verdict.witness, dtype=complex).ravel()
     v = v / np.linalg.norm(v)
     if verdict.witness_kind == "hyperplane":
@@ -304,7 +313,7 @@ class TestIrreducibility:
         for name in ("triangle-nilpotent", "triangle-diag"):
             assert irreducibility_check(fixture(name)).kind == "irreducible"
 
-    @pytest.mark.parametrize("rank, count", [(2, 16), (3, 10)])
+    @pytest.mark.parametrize("rank, count", [(2, 16), (3, 10), (4, 8)])
     def test_many_generators_fast(self, rank, count):
         # a search over every choice of one eigenvalue per generator takes
         # rank^count steps; one algebra element's eigenvectors take count
@@ -337,6 +346,47 @@ class TestIrreducibility:
         verdict = monodromy_mod._verdict_from_generators(Ts, 3, 0.0)
         assert verdict.witness_kind == "hyperplane"
         _assert_witness(verdict, Ts)
+
+    def test_rank4_triangular_line(self):
+        # upper-triangular generators keep the line of e_1, and their
+        # module is cyclic: a random vector's orbit fills the space
+        rng = np.random.default_rng(5)
+        Ts = [np.triu(_complex_normal(rng, 4, 4)) for _ in range(3)]
+        verdict = monodromy_mod._verdict_from_generators(Ts, 4, 0.0)
+        assert verdict.witness_kind == "line"
+        _assert_witness(verdict, Ts)
+
+    def test_rank4_hyperplane_only(self):
+        # [[B_k, c_k], [0, d_k]] with the B_k irreducible on the span of
+        # e_1, e_2, e_3: the hyperplane is kept, and no line is
+        rng = np.random.default_rng(6)
+        Ts = []
+        for _ in range(3):
+            T_k = np.zeros((4, 4), dtype=complex)
+            T_k[:3] = _complex_normal(rng, 3, 4)
+            T_k[3, 3] = _complex_normal(rng)
+            Ts.append(T_k)
+        verdict = monodromy_mod._verdict_from_generators(Ts, 4, 0.0)
+        assert verdict.witness_kind == "hyperplane"
+        _assert_witness(verdict, Ts)
+
+    def test_rank6_no_cyclic_vector(self):
+        # W + W + W with W irreducible of rank 2 keeps no line and no
+        # hyperplane, but every orbit is proper: it has dimension 4
+        rng = np.random.default_rng(8)
+        Ts = [np.kron(np.eye(3), _complex_normal(rng, 2, 2))
+              for _ in range(3)]
+        verdict = monodromy_mod._verdict_from_generators(Ts, 6, 0.0)
+        assert verdict.witness_kind == "subspace"
+        assert verdict.witness.shape == (6, 4)
+        _assert_witness(verdict, Ts)
+
+    def test_rank4_triangular_connection_reducible(self):
+        report = monodromy_generators(
+            _residue_conn(_TRIANGULAR4_POINTS, _TRIANGULAR4_RESIDUES),
+            tol=1e-10)
+        assert report.irreducible.kind == "reducible"
+        _assert_witness(report.irreducible, report.matrices)
 
     def test_fixture_margins_in_unit_interval(self):
         margins = {name: irreducibility_check(fixture(name)).margin
@@ -644,6 +694,16 @@ _WIDER_RESIDUES = {
         _q("0 0 1/4 -3/4", "0 -3/4 1/4 -1/4", "1/4 0 1/4 0",
            "0 3/4 0 0")],
 }
+
+
+# upper-triangular residues at 0, 1 and 2 summing to zero: e_1 spans an
+# invariant line of the rank-4 monodromy
+_TRIANGULAR4_POINTS = [GaussRat(0), GaussRat(1), GaussRat(2)]
+_TRIANGULAR4_RESIDUES = [
+    _q("1/4 1 0 1/2", "0 -1/3 1 0", "0 0 1/5 1", "0 0 0 1/7"),
+    _q("-1/6 0 1 0", "0 1/8 1/2 1", "0 0 -1/9 0", "0 0 0 1/3"),
+    _q("-1/12 -1 -1 -1/2", "0 5/24 -3/2 -1", "0 0 -4/45 -1",
+       "0 0 0 -10/21")]
 
 
 def _wider(name):
