@@ -4,6 +4,16 @@ function field Q(i)(t).
 Everything here is immutable and pure; polynomials are dense coefficient
 lists (lowest degree first) and rational functions are kept reduced with a
 monic denominator so that structural equality is canonical equality.
+
+Where gcds are taken: ``RatFun(num, den)`` reduces an arbitrary pair with
+one gcd of the whole numerator against the whole denominator.  Sums,
+differences and products of two ``RatFun``s instead use Henrici's
+reduction, as ``fractions.Fraction`` does: since both operands are already
+reduced, only factors that can share roots are compared (the two
+denominators for a sum, each numerator against the other denominator for a
+product), no gcd is taken when one side is constant, and the result goes
+through ``RatFun._reduced``, which trusts that its pair is already coprime
+with a monic denominator.
 """
 
 from __future__ import annotations
@@ -342,6 +352,9 @@ class Poly:
         return f"Poly({self})"
 
 
+_POLY_ONE = Poly.const(1)     # shared: a Poly is never mutated
+
+
 def _divide_linear(coeffs, c: GaussRat):
     """(quotient coefficients, p(c)) of p / (t - c) for p with the given
     non-empty coefficients, lowest first: one Horner pass from the top."""
@@ -365,18 +378,25 @@ def gcd_poly(a: Poly, b: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 
 class RatFun:
-    """Reduced fraction of polynomials over Q(i) with a monic denominator."""
+    """Reduced fraction of polynomials over Q(i) with a monic denominator;
+    zero is 0/1.
+
+    ``RatFun(num, den)`` accepts any pair and reduces it with one gcd.
+    ``_reduced`` takes no gcd: its caller must pass a numerator coprime to
+    a monic denominator.  ``+``, ``-`` and ``*`` build their results that
+    way, from gcds of the operands' factors (Henrici's reduction).
+    """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly | None = None):
         if den is None:
-            den = Poly.const(1)
+            den = _POLY_ONE
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
             self.num = Poly()
-            self.den = Poly.const(1)
+            self.den = _POLY_ONE
             return
         if num.deg > 0 and den.deg > 0:     # else the gcd is 1
             g = gcd_poly(num, den)
@@ -386,6 +406,14 @@ class RatFun:
         lead_inv = den.lead().inverse()
         self.num = num * lead_inv
         self.den = den * lead_inv
+
+    @classmethod
+    def _reduced(cls, num: Poly, den: Poly) -> "RatFun":
+        """num/den for num coprime to den and den monic: no gcd is taken."""
+        r = object.__new__(cls)
+        r.num = num
+        r.den = _POLY_ONE if num.is_zero() else den
+        return r
 
     @classmethod
     def const(cls, c) -> "RatFun":
@@ -414,7 +442,16 @@ class RatFun:
 
     def __add__(self, other) -> "RatFun":
         other = _coerce_rf(other)
-        return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        g = gcd_poly(b, d) if b.deg > 0 and d.deg > 0 else _POLY_ONE
+        if g.deg == 0:
+            return RatFun._reduced(a * d + c * b, b * d)
+        b, d = b // g, d // g
+        s = a * d + c * b
+        g2 = gcd_poly(s, g) if s.deg > 0 else _POLY_ONE
+        if g2.deg > 0:
+            s, g = s // g2, g // g2
+        return RatFun._reduced(s, b * d * g)
 
     __radd__ = __add__
 
@@ -429,7 +466,16 @@ class RatFun:
 
     def __mul__(self, other) -> "RatFun":
         other = _coerce_rf(other)
-        return RatFun(self.num * other.num, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if a.deg > 0 and d.deg > 0:
+            g = gcd_poly(a, d)
+            if g.deg > 0:
+                a, d = a // g, d // g
+        if c.deg > 0 and b.deg > 0:
+            g = gcd_poly(c, b)
+            if g.deg > 0:
+                c, b = c // g, b // g
+        return RatFun._reduced(a * c, b * d)
 
     __rmul__ = __mul__
 
@@ -715,7 +761,6 @@ def max_zero_multiplicity(r: RatFun, excluded=()):
 _TOK_INT = "int"
 _TOK_SYM = "sym"
 _TOK_OP = "op"
-_POLY_ONE = Poly.const(1)
 
 
 def _tokenize(text: str):

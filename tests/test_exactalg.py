@@ -545,3 +545,73 @@ class TestReduction:
     def test_constant_side_matches_gcd_form(self, num, den):
         r = RatFun(num, den)
         assert (r.num, r.den) == _reduced_by_gcd(num, den)
+
+
+# ---------------------------------------------------------------------------
+# RatFun +, - and * reduce from the operands' factors
+# ---------------------------------------------------------------------------
+
+_POINTS = [GaussRat(0), GaussRat(1), GaussRat(-1), GaussRat(0, 1),
+           GaussRat(1, 1), GaussRat(2, -1)]
+_HEIGHT = 10 ** 30
+_big = st.fractions(min_value=-_HEIGHT, max_value=_HEIGHT,
+                    max_denominator=_HEIGHT)
+_big_gauss = st.builds(GaussRat, _big, _big)
+# products of (t - p)^k over a few Gaussian points, so that two draws often
+# share factors, times a cofactor that may carry huge coefficients
+_point_powers = st.lists(
+    st.tuples(st.sampled_from(_POINTS), st.integers(min_value=1, max_value=2)),
+    max_size=3)
+_cofactor = st.one_of(
+    st.just(ONE),
+    st.lists(st.one_of(small_int.map(GaussRat), _big_gauss),
+             min_size=1, max_size=3).map(Poly).filter(lambda p: not p.is_zero()))
+_factored = st.builds(
+    lambda powers, cofactor, lead: expand(
+        (Poly.from_roots([p]), k) for p, k in powers) * cofactor * lead,
+    _point_powers, _cofactor, _big_gauss.filter(bool))
+_ratfun = st.one_of(
+    st.builds(RatFun, _factored, _factored),
+    st.builds(RatFun, _factored),                   # constant denominator
+    _big_gauss.map(RatFun.const))
+
+
+def _assert_canonical(r: RatFun):
+    assert r.den.lead() == GaussRat(1)
+    assert gcd_poly(r.num, r.den).deg == 0
+    if r.num.is_zero():
+        assert r.den == ONE
+
+
+_UNREDUCED = {
+    "+": lambda a, b: RatFun(a.num * b.den + b.num * a.den, a.den * b.den),
+    "-": lambda a, b: RatFun(a.num * b.den - b.num * a.den, a.den * b.den),
+    "*": lambda a, b: RatFun(a.num * b.num, a.den * b.den),
+}
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+# a = r + u and b = v - r, each reduced by the general constructor: the
+# poles of r cancel in a + b, so its numerator shares a factor with gcd of
+# the denominators
+_pair = st.one_of(
+    st.tuples(_ratfun, _ratfun),
+    st.builds(lambda r, u, v: (_UNREDUCED["+"](r, u), _UNREDUCED["-"](v, r)),
+              _ratfun, _ratfun, _ratfun))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_pair, st.sampled_from(sorted(_OPS)))
+def test_sum_and_product_match_general_reduction(pair, op):
+    a, b = pair
+    got = _OPS[op](a, b)
+    assert got == _UNREDUCED[op](a, b)
+    _assert_canonical(got)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_ratfun)
+def test_cancelling_sum_and_product(a):
+    for zero in (a + (-a), a - a):
+        assert (zero.num, zero.den) == (Poly(), ONE)
+    if not a.is_zero():
+        unit = a * a.inverse()
+        assert (unit.num, unit.den) == (ONE, ONE)
