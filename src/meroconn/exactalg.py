@@ -13,11 +13,17 @@ reduced, only factors that can share roots are compared (the two
 denominators for a sum, each numerator against the other denominator for a
 product), no gcd is taken when one side is constant, and the result goes
 through ``RatFun._reduced``, which trusts that its pair is already coprime
-with a monic denominator.
+with a monic denominator.  The parser forms unreduced pairs in Z[i][t] with
+integer arithmetic and reduces a pair (each power's base, and the finished
+expression) by one image mod a fixed prime p = 1 mod 4: a constant gcd mod
+p with both leading coefficients surviving certifies that the pair is
+coprime, so it only needs dividing by the denominator's leading
+coefficient; any other pair goes through ``RatFun(num, den)``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -308,13 +314,7 @@ class Poly:
 
     def shifted(self, c) -> "Poly":
         """Coefficients of self in powers of (t - c) (Taylor shift)."""
-        c = _coerce(c)
-        out = []
-        r = self.coeffs
-        while r:
-            r, value = _divide_linear(r, c)
-            out.append(value)
-        return Poly(out)
+        return Poly(_shift_head(self.coeffs, _coerce(c), len(self.coeffs)))
 
     def split_root(self, c):
         """(k, self / (t - c)^k) with k the multiplicity of c as a root (0
@@ -364,6 +364,16 @@ def _divide_linear(coeffs, c: GaussRat):
         acc = acc * c + a
         q.append(acc)
     return q[-2::-1], q[-1]
+
+
+def _shift_head(coeffs, c: GaussRat, order: int) -> list:
+    """The first `order` coefficients of p in powers of (t - c), for p with
+    the given coefficients: one Horner pass each, fewer when p runs out."""
+    out = []
+    while coeffs and len(out) < order:
+        coeffs, value = _divide_linear(coeffs, c)
+        out.append(value)
+    return out
 
 
 def gcd_poly(a: Poly, b: Poly) -> Poly:
@@ -592,9 +602,13 @@ def _series_quotient(num: list, den: list, order: int) -> list:
 
 def taylor_coefficients(num: Poly, den: Poly, c, order: int) -> list:
     """Coefficients of (t-c)^0 .. (t-c)^(order-1) in the expansion of
-    num/den at c; den(c) != 0."""
-    return _series_quotient(list(num.shifted(c).coeffs) or [ZERO],
-                            list(den.shifted(c).coeffs), order)
+    num/den at c; den(c) != 0.  Only the first `order` coefficients of
+    num and den in powers of (t - c) are read, so only those are shifted."""
+    if order <= 0:
+        return []
+    c = _coerce(c)
+    return _series_quotient(_shift_head(num.coeffs, c, order) or [ZERO],
+                            _shift_head(den.coeffs, c, order), order)
 
 
 def laurent_coefficients(r: RatFun, c, jmax: int) -> list:
@@ -789,18 +803,145 @@ def _tokenize(text: str):
     return toks
 
 
+# The grammar has only integers, i and t, and '/' only swaps numerator and
+# denominator, so every unreduced pair the parser forms lies in Z[i][t].  It
+# carries them as tuples of (re, im) int pairs, lowest degree first, with a
+# non-zero top coefficient; the zero polynomial is ().
+
+_Z_ONE = ((1, 0),)
+
+
+def _zadd(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for k, (re, im) in enumerate(b):
+        out[k] = (out[k][0] + re, out[k][1] + im)
+    while out and out[-1] == (0, 0):
+        out.pop()
+    return tuple(out)
+
+
+def _zneg(a):
+    return tuple((-re, -im) for re, im in a)
+
+
+def _zmul(a, b):
+    if not a or not b:
+        return ()
+    re = [0] * (len(a) + len(b) - 1)
+    im = re[:]
+    for j, (br, bi) in enumerate(b):
+        for k, (ar, ai) in enumerate(a, j):
+            re[k] += ar * br - ai * bi
+            im[k] += ar * bi + ai * br
+    return tuple(zip(re, im))       # Z[i] has no zero divisors: no trim
+
+
+def _zpow(a, k: int):
+    out = _Z_ONE
+    while k:
+        if k & 1:
+            out = _zmul(out, a)
+        k >>= 1
+        if k:
+            a = _zmul(a, a)
+    return out
+
+
 def _sum(a, b):
     """a + b on unreduced (numerator, denominator) pairs."""
     (an, ad), (bn, bd) = a, b
     if ad == bd:
-        return an + bn, ad
-    return an * bd + bn * ad, ad * bd
+        return _zadd(an, bn), ad
+    return _zadd(_zmul(an, bd), _zmul(bn, ad)), _zmul(ad, bd)
+
+
+# A prime p = 1 mod 4 and a square root r of -1 mod p: i -> r maps Z[i]
+# onto Z/p.  If a common factor of num and den over Q(i) has positive
+# degree, Gauss's lemma puts one in Z[i][t] that divides both there; when
+# both leading coefficients survive the map, so does its degree, and the
+# images of num and den share a factor of positive degree mod p.  So a
+# constant gcd of the images certifies that the pair is coprime.
+_P = 2 ** 61 - 31
+_R = 583529827753931384
+
+
+def _image(a) -> list:
+    return [(re + im * _R) % _P for re, im in a]
+
+
+def _rem_mod_p(a: list, b: list) -> list:
+    """a mod b in Z/p[t], lowest degree first; both tops non-zero."""
+    a = a[:]
+    inv = pow(b[-1], -1, _P)
+    top = len(b) - 1
+    while len(a) > top:
+        c = a.pop() * inv % _P
+        k = len(a) - top
+        for j in range(top):
+            a[k + j] = (a[k + j] - c * b[j]) % _P
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def _coprime(num, den) -> bool:
+    """True when the pair is certified coprime over Q(i): a side of degree
+    <= 0, or images mod p with both tops and a constant gcd.  False asks
+    for Euclid over Q(i): the pair may still be coprime."""
+    if len(num) <= 1 or len(den) <= 1:
+        return True
+    a, b = _image(num), _image(den)
+    if a[-1] == 0 or b[-1] == 0:
+        return False
+    while b:
+        a, b = b, _rem_mod_p(a, b)
+    return len(a) == 1
+
+
+def _zpoly(a) -> Poly:
+    return Poly([GaussRat(re, im) for re, im in a])
+
+
+def _coprime_pair(num, den):
+    """A coprime Z[i] pair with the same quotient as num/den: the pair
+    itself when certified, else the Euclid result scaled back into Z[i] by
+    the lcm of its coefficient denominators."""
+    if _coprime(num, den):
+        return num, den
+    r = RatFun(_zpoly(num), _zpoly(den))
+    cs = r.num.coeffs + r.den.coeffs
+    m = math.lcm(*(c.re.denominator for c in cs),
+                 *(c.im.denominator for c in cs))
+
+    def scaled(p):
+        return tuple((c.re.numerator * (m // c.re.denominator),
+                      c.im.numerator * (m // c.im.denominator))
+                     for c in p.coeffs)
+
+    return scaled(r.num), scaled(r.den)
+
+
+def _reduced_pair(num, den) -> RatFun:
+    """The RatFun of a Z[i] pair: the coprime pair divided by the top
+    coefficient c + d i of its denominator."""
+    num, den = _coprime_pair(num, den)
+    c, d = den[-1]
+    n = c * c + d * d
+
+    def divided(a):     # (x + y i) / (c + d i)
+        return Poly([GaussRat(Fraction(x * c + y * d, n),
+                              Fraction(y * c - x * d, n)) for x, y in a])
+
+    return RatFun._reduced(divided(num), divided(den))
 
 
 class _Parser:
-    """Recursive descent over unreduced (numerator, denominator) Poly
-    pairs: only a power's base and the finished expression are reduced,
-    so an entry costs one gcd, not one per operation."""
+    """Recursive descent over unreduced (numerator, denominator) pairs in
+    Z[i][t]: only a power's base and the finished expression are reduced,
+    each by one certificate mod p, with Euclid over Q(i) only where the
+    certificate fails."""
 
     def __init__(self, text: str):
         self.text = text
@@ -827,7 +968,7 @@ class _Parser:
         t = self.peek()
         if t is not None:
             raise ParseError(f"trailing input {t[1]!r}", column=t[2])
-        return RatFun(num, den)
+        return _reduced_pair(num, den)
 
     def expr(self):
         v = self.term()
@@ -836,7 +977,7 @@ class _Parser:
             if t and t[0] == _TOK_OP and t[1] in "+-":
                 self.take()
                 num, den = self.term()
-                v = _sum(v, (num, den) if t[1] == "+" else (-num, den))
+                v = _sum(v, (num, den) if t[1] == "+" else (_zneg(num), den))
             else:
                 return v
 
@@ -855,21 +996,21 @@ class _Parser:
                 self.take()
                 rn, rd = self.unary()
                 if t[1] == "/":
-                    if rn.is_zero():
+                    if not rn:
                         raise ParseError("division by zero", column=t[2])
                     rn, rd = rd, rn
             elif self._starts_factor(t):
                 rn, rd = self.unary()  # juxtaposition
             else:
                 return num, den
-            num, den = num * rn, den * rd
+            num, den = _zmul(num, rn), _zmul(den, rd)
 
     def unary(self):
         t = self.peek()
         if t and t[0] == _TOK_OP and t[1] == "-":
             self.take()
             num, den = self.unary()
-            return -num, den
+            return _zneg(num), den
         return self.power()
 
     def power(self):
@@ -886,21 +1027,22 @@ class _Parser:
             if t3[0] != _TOK_INT:
                 raise ParseError("exponent must be an integer", column=t3[2])
             exp = sign * t3[1]
-            if exp < 0 and base[0].is_zero():
+            if exp < 0 and not base[0]:
                 raise ParseError("zero to a negative power", column=t3[2])
             if exp == 1:
                 return base
-            r = RatFun(*base)       # reduced, so the power adds no degree
-            num, den = (r.num, r.den) if exp > 0 else (r.den, r.num)
-            return num ** abs(exp), den ** abs(exp)
+            num, den = _coprime_pair(*base)     # so the power adds no degree
+            if exp < 0:
+                num, den = den, num
+            return _zpow(num, abs(exp)), _zpow(den, abs(exp))
         return base
 
     def atom(self):
         t = self.take()
         if t[0] == _TOK_INT:
-            return Poly.const(t[1]), _POLY_ONE
+            return (((t[1], 0),) if t[1] else ()), _Z_ONE
         if t[0] == _TOK_SYM:
-            return Poly.const(I) if t[1] == "i" else Poly.x(), _POLY_ONE
+            return ((0, 1),) if t[1] == "i" else ((0, 0), (1, 0)), _Z_ONE
         if t[0] == _TOK_OP and t[1] == "(":
             v = self.expr()
             self.expect_op(")")

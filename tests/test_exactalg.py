@@ -284,6 +284,25 @@ def test_shifted_re_expands(p, c):
     assert back == p
 
 
+_gauss_poly = st.lists(st.builds(GaussRat, small_int, small_int),
+                       min_size=1, max_size=5).map(Poly)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_gauss_poly, _gauss_poly.filter(lambda p: not p.is_zero()),
+       st.builds(GaussRat, small_int, small_int))
+def test_truncated_taylor_matches_full_shift(num, den, c):
+    if den.eval(c).is_zero():
+        den = den + Poly([1 - den.eval(c)])      # now den(c) = 1
+    top = max(num.deg, den.deg) + 2
+    full = exactalg._series_quotient(list(num.shifted(c).coeffs) or
+                                     [GaussRat(0)],
+                                     list(den.shifted(c).coeffs), top)
+    for order in range(top + 1):
+        assert exactalg.taylor_coefficients(num, den, c, order) == \
+            full[:order]
+
+
 @settings(max_examples=40, deadline=None)
 @given(roots, roots, small_int)
 def test_valuation_antisymmetry(num_roots, den_roots, c):
@@ -522,6 +541,78 @@ def _reduced_by_gcd(num: Poly, den: Poly):
     return num * lead_inv, den * lead_inv
 
 
+_P, _R = exactalg._P, exactalg._R
+
+
+def _parsed_pair(text):
+    """The unreduced Z[i] pair the parser builds for `text`."""
+    return exactalg._Parser(text).expr()
+
+
+def _lin(c) -> RatFun:
+    return RatFun(Poly.from_roots([c]))
+
+
+class TestPrimeCertificate:
+    def test_constants(self):
+        import sympy
+
+        assert sympy.isprime(_P)
+        assert _P % 4 == 1
+        assert _R * _R % _P == _P - 1
+
+    @pytest.mark.parametrize("text, expected", [
+        # a common factor
+        ("(t^2-1)/(t*(t-1))", _lin(-1) / _lin(0)),
+        # coprime over Q(i), but both images vanish at 1 mod p
+        (f"(t-1)/(t-1-{_P})", _lin(1) / _lin(1 + _P)),
+        # the numerator's top coefficient maps to 0 mod p
+        (f"({_P}*t+1)/(t^2+1)",
+         (_lin(0) * _P + 1) / (_lin(GaussRat(0, 1)) * _lin(GaussRat(0, -1)))),
+        # a common factor whose image mod p is constant
+        (f"(({_P}*t+1)*(t-3))/(({_P}*t+1)*(t-4))", _lin(3) / _lin(4)),
+        # its top coefficient r - i lies in the kernel of i -> r
+        (f"(({_R}-i)*t+1)/(t-2)",
+         (_lin(0) * GaussRat(_R, -1) + 1) / _lin(2)),
+    ])
+    def test_fallback_matches_euclid(self, text, expected):
+        num, den = _parsed_pair(text)
+        assert not exactalg._coprime(num, den)
+        assert parse_ratfun(text) == RatFun(exactalg._zpoly(num),
+                                            exactalg._zpoly(den)) == expected
+
+    @pytest.mark.parametrize("text, expected", [
+        ("((t^2-1)/(t-1))^2", _lin(-1) ** 2),
+        ("((2*t^2-2)/(3*t-3))^3", _lin(-1) ** 3 * Fraction(8, 27)),
+        ("(((1+i)*t^2-1-i)/((2-i)*(t-1)))^-2",
+         (_lin(-1) * GaussRat(Fraction(1, 5), Fraction(3, 5))) ** -2),
+    ])
+    def test_power_base_fallback_scales_into_gaussian_integers(
+            self, text, expected):
+        base = _parsed_pair(text.rsplit("^", 1)[0])
+        assert not exactalg._coprime(*base)
+        num, den = exactalg._coprime_pair(*base)
+        assert all(isinstance(x, int) for c in num + den for x in c)
+        assert exactalg._coprime(num, den)
+        assert parse_ratfun(text) == expected
+
+    def test_certified_entries_take_no_gcd(self, monkeypatch):
+        expected = {
+            "1/(2*t)-1/(2*(t-1))":
+                (_lin(0) * _lin(1)).inverse() * Fraction(-1, 2),
+            "((3+4i)*t-1)/((1-2i)*t^2+i)":
+                (_lin(0) * GaussRat(3, 4) - 1) / (
+                    _lin(0) ** 2 * GaussRat(1, -2) + GaussRat(0, 1)),
+        }
+
+        def no_gcd(a, b):
+            raise AssertionError("gcd_poly called on a certified pair")
+
+        monkeypatch.setattr(exactalg, "gcd_poly", no_gcd)
+        for text, value in expected.items():
+            assert parse_ratfun(text) == value
+
+
 class TestReduction:
     def test_powers_reduce_their_base_first(self, monkeypatch):
         seen = []
@@ -615,3 +706,9 @@ def test_cancelling_sum_and_product(a):
     if not a.is_zero():
         unit = a * a.inverse()
         assert (unit.num, unit.den) == (ONE, ONE)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_ratfun)
+def test_str_round_trip_at_guard_height(r):
+    assert parse_ratfun(str(r)) == r
