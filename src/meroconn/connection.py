@@ -7,9 +7,11 @@ r' = -M r).  Validation checks the pole constraint at the finite divisor
 and holomorphy of the connection form at infinity in the twisted frame.
 
 Pole orders are split off each entry's denominator one divisor point at
-a time (Poly.split_root); a factor left over has poles off the divisor.
-The report keeps the largest entry order at each point and the residues
-of tr M, which the transport and the det check read.
+a time (Poly.split_root, in Z[i]); a factor left over has poles off the
+divisor.  The report keeps each entry's order at each point, the largest
+entry order at each point and the residues of tr M, taken only from the
+diagonal entries with a pole there.  The transport builds its q and
+P = q M from the orders, and the det check reads the residues.
 In the frame f_i = t^(a_i) e_i the matrix is N_ki = M_ki t^(a_i - a_k) +
 (a_i / t) delta_ki, and each entry needs degree <= -2 at infinity.  N is
 never formed: entry (k,i) has degree infinity_degree(M_ki) + a_i - a_k,
@@ -47,6 +49,9 @@ class ValidationReport:
     warnings: list = field(default_factory=list)
     # divisor point -> largest pole order of an entry there (0 when none)
     pole_orders: dict = field(default_factory=dict)
+    # entry_orders[i][j][p]: pole order of entry (i, j) at the p-th divisor
+    # point (the order of conn.singular_points)
+    entry_orders: list = field(default_factory=list)
     # divisor point -> res(tr M, c); filled when the degree checks pass
     trace_residues: dict = field(default_factory=dict)
 
@@ -95,34 +100,42 @@ class Connection:
 
 
 def _entry_poles(conn: Connection):
-    """(violations, orders): every matrix entry must have finite poles only
-    in C, of order <= m_c; orders[c] is the largest entry order at c."""
+    """(violations, orders, entry_orders): every matrix entry must have
+    finite poles only in C, of order <= m_c; entry_orders[i][j] holds the
+    orders of entry (i, j) at the divisor points, in the divisor's order,
+    and orders[c] is the largest entry order at c."""
     out = []
-    orders = dict.fromkeys(conn.singular_points, 0)
+    points = conn.divisor.finite_entries()
+    top = [0] * len(points)
+    entry_orders = []
     for i, row in enumerate(conn.matrix):
+        entry_orders.append([])
         for j, entry in enumerate(row):
+            ks = [0] * len(points)
+            entry_orders[i].append(ks)
             if entry.is_zero():
                 continue
             den = entry.den
-            for c, m in conn.divisor.finite_entries():
-                k, den = den.split_root(c)
-                orders[c] = max(orders[c], k)
-                if k > m:
+            for p, (c, m) in enumerate(points):
+                ks[p], den = den.split_root(c)
+                if ks[p] > m:
                     out.append(
-                        f"entry ({i},{j}) has pole order {k} > {m} at t={c}"
+                        f"entry ({i},{j}) has pole order {ks[p]} > {m} "
+                        f"at t={c}"
                     )
             if den.deg > 0:
                 out.append(
                     f"entry ({i},{j}) has poles outside the divisor (factor {den})"
                 )
-    return out, orders
+            top = list(map(max, top, ks))
+    return out, dict(zip(conn.singular_points, top)), entry_orders
 
 
 def validate(conn: Connection) -> ValidationReport:
     """Pole constraint at the divisor plus holomorphy of the form at
     infinity; also asserts the residue-theorem identity
     sum_c res(tr M, c) = -c(V) for accepted connections."""
-    violations, orders = _entry_poles(conn)
+    violations, orders, entry_orders = _entry_poles(conn)
     a = conn.splitting.twists
     for k, row in enumerate(conn.matrix):
         for i, entry in enumerate(row):
@@ -140,14 +153,16 @@ def validate(conn: Connection) -> ValidationReport:
     if not conn.divisor.entries:
         warnings.append("empty pole divisor: monodromy is necessarily trivial")
     report = ValidationReport(ok=not violations, violations=violations,
-                              warnings=warnings, pole_orders=orders)
+                              warnings=warnings, pole_orders=orders,
+                              entry_orders=entry_orders)
     if report.ok:
         # residue theorem: implied by the two degree checks, asserted anyway;
-        # the residue is linear, so res(tr M, c) sums the diagonal's residues
-        diagonal = [conn.matrix[k][k] for k in range(conn.rank)]
+        # the residue is linear, so res(tr M, c) sums the residues of the
+        # diagonal entries with a pole at c
         report.trace_residues = {
-            c: sum((residue(e, c) for e in diagonal), GaussRat(0))
-            for c in conn.singular_points}
+            c: sum((residue(conn.matrix[k][k], c) for k in range(conn.rank)
+                    if entry_orders[k][k][p]), GaussRat(0))
+            for p, c in enumerate(conn.singular_points)}
         total = sum(report.trace_residues.values(), GaussRat(0))
         if total != GaussRat(-chern(conn.splitting)):
             report.ok = False

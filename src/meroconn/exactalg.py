@@ -19,6 +19,13 @@ expression) by one image mod a fixed prime p = 1 mod 4: a constant gcd mod
 p with both leading coefficients surviving certifies that the pair is
 coprime, so it only needs dividing by the denominator's leading
 coefficient; any other pair goes through ``RatFun(num, den)``.
+
+Root splitting, Taylor shifts, series quotients and evaluation at a point
+c = g/d run on Python ints: a polynomial is put over one common
+denominator and homogenised at d, so that t - c becomes the monic T - g
+and a Horner pass stays in Z[i]; a series quotient is fraction free, and
+GaussRats are built only for the values returned (none when
+``split_root`` finds no root).
 """
 
 from __future__ import annotations
@@ -300,11 +307,13 @@ class Poly:
         return Poly([self.coeffs[k] * k for k in range(1, len(self.coeffs))])
 
     def eval(self, c) -> GaussRat:
-        c = _coerce(c)
-        acc = ZERO
-        for a in reversed(self.coeffs):
-            acc = acc * c + a
-        return acc
+        if self.is_zero():
+            return ZERO
+        g, d = _split_point(_coerce(c))
+        h, m = _homogenised(self.coeffs, d)
+        re, im = _divide_linear(h, g)[1]
+        m *= d ** self.deg
+        return GaussRat(Fraction(re, m), Fraction(im, m))
 
     def ceval(self, z: complex) -> complex:
         acc = 0j
@@ -314,20 +323,19 @@ class Poly:
 
     def shifted(self, c) -> "Poly":
         """Coefficients of self in powers of (t - c) (Taylor shift)."""
-        return Poly(_shift_head(self.coeffs, _coerce(c), len(self.coeffs)))
+        g, d = _split_point(_coerce(c))
+        h, m = _homogenised(self.coeffs, d)
+        return Poly(_dehomogenised(_taylor_head(h, g, len(h)), m, d))
 
     def split_root(self, c):
         """(k, self / (t - c)^k) with k the multiplicity of c as a root (0
-        when p(c) != 0): one synthetic division per factor of (t - c)."""
+        when p(c) != 0), divided in Z[i]: for k = 0, self itself."""
         if self.is_zero():
             raise ZeroPolynomial("zero polynomial")
-        c = _coerce(c)
-        k, r = 0, self.coeffs
-        while True:
-            q, value = _divide_linear(r, c)
-            if not value.is_zero():
-                return k, Poly(r) if k else self
-            k, r = k + 1, q
+        g, d = _split_point(_coerce(c))
+        h, m = _homogenised(self.coeffs, d)
+        k, h = _split_linear(h, g)
+        return k, Poly(_dehomogenised(h, m, d)) if k else self
 
     def root_multiplicity(self, c) -> int:
         """Multiplicity of c as a root (0 when p(c) != 0)."""
@@ -355,23 +363,133 @@ class Poly:
 _POLY_ONE = Poly.const(1)     # shared: a Poly is never mutated
 
 
-def _divide_linear(coeffs, c: GaussRat):
-    """(quotient coefficients, p(c)) of p / (t - c) for p with the given
-    non-empty coefficients, lowest first: one Horner pass from the top."""
-    acc = ZERO
+# ---------------------------------------------------------------------------
+# Z[i][t]: integer kernels
+# ---------------------------------------------------------------------------
+#
+# A polynomial in Z[i][t] is a tuple (or list) of (re, im) int pairs, lowest
+# degree first, with a non-zero top coefficient; the zero polynomial is ().
+# The parser forms its unreduced pairs in this form.  Root splitting, Taylor
+# shifts and evaluation work here too, on a polynomial over Q(i) put over
+# one common denominator m and homogenised at the point c = g/d: with
+# p = z/m of degree n, h_j = z_j d^(n-j) gives p(t) = h(d t) / (m d^n).  At
+# T = d t the point is T = g, and T - g = d (t - c) is monic in T, so
+# synthetic division by it stays in Z[i] (fraction free, as in Bareiss's
+# elimination).  GaussRats are built only for the values returned.
+
+_Z_ONE = ((1, 0),)
+
+
+def _zadd(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for k, (re, im) in enumerate(b):
+        out[k] = (out[k][0] + re, out[k][1] + im)
+    while out and out[-1] == (0, 0):
+        out.pop()
+    return tuple(out)
+
+
+def _zneg(a):
+    return tuple((-re, -im) for re, im in a)
+
+
+def _gmul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _zmul(a, b):
+    if not a or not b:
+        return ()
+    re = [0] * (len(a) + len(b) - 1)
+    im = re[:]
+    for j, (br, bi) in enumerate(b):
+        for k, (ar, ai) in enumerate(a, j):
+            re[k] += ar * br - ai * bi
+            im[k] += ar * bi + ai * br
+    return tuple(zip(re, im))       # Z[i] has no zero divisors: no trim
+
+
+def _zpow(a, k: int):
+    out = _Z_ONE
+    while k:
+        if k & 1:
+            out = _zmul(out, a)
+        k >>= 1
+        if k:
+            a = _zmul(a, a)
+    return out
+
+
+def _common_denominator(coeffs):
+    """(z, m) with the given GaussRats equal to z / m: z in Z[i], m the lcm
+    of their denominators (1 for none)."""
+    m = math.lcm(*(c.re.denominator for c in coeffs),
+                 *(c.im.denominator for c in coeffs))
+    return tuple((c.re.numerator * (m // c.re.denominator),
+                  c.im.numerator * (m // c.im.denominator))
+                 for c in coeffs), m
+
+
+def _split_point(c: GaussRat):
+    """(g, d) with c = g/d, g in Z[i] and d >= 1."""
+    (g,), d = _common_denominator((c,))
+    return g, d
+
+
+def _homogenised(coeffs, d: int):
+    """(h, m) with p(t) = h(d t) / (m d^n), for p of degree n with the given
+    coefficients: h_j = z_j d^(n-j) for p = z/m."""
+    z, m = _common_denominator(coeffs)
+    if d == 1:
+        return z, m
+    h, scale = [], 1
+    for re, im in reversed(z):
+        h.append((re * scale, im * scale))
+        scale *= d
+    return h[::-1], m
+
+
+def _dehomogenised(h, m: int, d: int) -> list:
+    """The GaussRat coefficients of h(d t) / (m d^n), n = len(h) - 1:
+    h_j / (m d^(n-j))."""
+    out = []
+    for re, im in reversed(h):
+        out.append(GaussRat(Fraction(re, m), Fraction(im, m)))
+        m *= d
+    return out[::-1]
+
+
+def _divide_linear(h, g):
+    """(quotient, h(g)) of h / (T - g) in Z[i][T], for non-empty h: one
+    Horner pass from the top."""
+    gr, gi = g
+    ar = ai = 0
     q = []
-    for a in reversed(coeffs):
-        acc = acc * c + a
-        q.append(acc)
+    for hr, hi in reversed(h):
+        ar, ai = ar * gr - ai * gi + hr, ar * gi + ai * gr + hi
+        q.append((ar, ai))
     return q[-2::-1], q[-1]
 
 
-def _shift_head(coeffs, c: GaussRat, order: int) -> list:
-    """The first `order` coefficients of p in powers of (t - c), for p with
-    the given coefficients: one Horner pass each, fewer when p runs out."""
+def _split_linear(h, g):
+    """(k, h / (T - g)^k) with k the multiplicity of g as a root of the
+    non-zero h: one synthetic division per factor of (T - g)."""
+    k = 0
+    while True:
+        q, value = _divide_linear(h, g)
+        if value != (0, 0):
+            return k, h
+        k, h = k + 1, q
+
+
+def _taylor_head(h, g, order: int) -> list:
+    """The first `order` coefficients of h in powers of (T - g): one Horner
+    pass each, fewer when h runs out."""
     out = []
-    while coeffs and len(out) < order:
-        coeffs, value = _divide_linear(coeffs, c)
+    while h and len(out) < order:
+        h, value = _divide_linear(h, g)
         out.append(value)
     return out
 
@@ -394,7 +512,8 @@ class RatFun:
     ``RatFun(num, den)`` accepts any pair and reduces it with one gcd.
     ``_reduced`` takes no gcd: its caller must pass a numerator coprime to
     a monic denominator.  ``+``, ``-`` and ``*`` build their results that
-    way, from gcds of the operands' factors (Henrici's reduction).
+    way, from gcds of the operands' factors (Henrici's reduction), and so
+    does negation, which keeps the reduced pair.
     """
 
     __slots__ = ("num", "den")
@@ -466,7 +585,7 @@ class RatFun:
     __radd__ = __add__
 
     def __neg__(self) -> "RatFun":
-        return RatFun(-self.num, self.den)
+        return RatFun._reduced(-self.num, self.den)
 
     def __sub__(self, other) -> "RatFun":
         return self + (-_coerce_rf(other))
@@ -588,16 +707,43 @@ def infinity_degree(r: RatFun) -> int:
     return r.num.deg - r.den.deg
 
 
-def _series_quotient(num: list, den: list, order: int) -> list:
-    """Taylor coefficients of num/den up to (excluding) `order`; den[0] != 0."""
-    inv0 = den[0].inverse()
-    q = []
-    for m in range(order):
-        acc = num[m] if m < len(num) else ZERO
-        for j in range(min(m, len(den) - 1)):
-            acc = acc - q[m - 1 - j] * den[j + 1]
-        q.append(acc * inv0)
-    return q
+def _series_quotient(a, ma: int, b, mb: int, g, d: int, order: int) -> list:
+    """Coefficients of s^0 .. s^(order-1), s = t - c, in the expansion of
+    p/r at c = g/d, for p = (a, ma) and r = (b, mb) homogenised at d and
+    r(c) != 0.  With u = d s, p(c + s) = A(u) / (ma d^deg p) and
+    r(c + s) = B(u) / (mb d^deg r), where A and B are the heads of a and b
+    in powers of (T - g).  Fraction free: A/B = sum_k R_k u^k / B_0^(k+1),
+    with R_k = B_0^k A_k - sum_(j<k) B_0^j B_(j+1) R_(k-1-j) in Z[i]."""
+    A = _taylor_head(a, g, order)
+    B = _taylor_head(b, g, order)
+    b0 = B[0]
+    if b0 == (0, 0):
+        raise ZeroDivisionError("the denominator vanishes at the point")
+    # 1/B_0 = conj(B_0)/|B_0|^2, or 1/B_0 for a real B_0
+    inv, norm = ((b0[0], -b0[1]), b0[0] ** 2 + b0[1] ** 2) if b0[1] \
+        else ((1, 0), b0[0])
+    pw = [(1, 0)]               # B_0^k
+    for _ in range(order - 1):
+        pw.append(_gmul(pw[-1], b0))
+    bs = [_gmul(pw[j], B[j + 1]) for j in range(len(B) - 1)]
+    R, out = [], []
+    ip, nk, shift = inv, norm, len(b) - len(a)     # inv^(k+1), norm^(k+1)
+    for k in range(order):
+        re, im = _gmul(pw[k], A[k]) if k < len(A) else (0, 0)
+        for j in range(min(k, len(bs))):
+            x = _gmul(bs[j], R[k - 1 - j])
+            re, im = re - x[0], im - x[1]
+        R.append((re, im))
+        # R_k / B_0^(k+1) d^k (mb d^deg r) / (ma d^deg p)
+        re, im = _gmul((re * mb, im * mb), ip)
+        den, e = nk * ma, k + shift
+        if e >= 0:
+            re, im = re * d ** e, im * d ** e
+        else:
+            den *= d ** -e
+        out.append(GaussRat(Fraction(re, den), Fraction(im, den)))
+        ip, nk = _gmul(ip, inv), nk * norm
+    return out
 
 
 def taylor_coefficients(num: Poly, den: Poly, c, order: int) -> list:
@@ -606,22 +752,25 @@ def taylor_coefficients(num: Poly, den: Poly, c, order: int) -> list:
     num and den in powers of (t - c) are read, so only those are shifted."""
     if order <= 0:
         return []
-    c = _coerce(c)
-    return _series_quotient(_shift_head(num.coeffs, c, order) or [ZERO],
-                            _shift_head(den.coeffs, c, order), order)
+    g, d = _split_point(_coerce(c))
+    return _series_quotient(*_homogenised(num.coeffs, d),
+                            *_homogenised(den.coeffs, d), g, d, order)
 
 
 def laurent_coefficients(r: RatFun, c, jmax: int) -> list:
     """Coefficients of (t-c)^(-j) for j = 1..jmax in the expansion of r at c."""
     if r.is_zero():
         return [ZERO] * jmax
-    c = _coerce(c)
-    k, den = r.den.split_root(c)
+    g, d = _split_point(_coerce(c))
+    den, m = _homogenised(r.den.coeffs, d)
+    k, den = _split_linear(den, g)
     if k == 0:
         return [ZERO] * jmax
-    # r = (num / den) * s^(-k), den with the s^k factor split off; need
-    # the Taylor coefficients of num / den up to s^(k-1)
-    taylor = taylor_coefficients(r.num, den, c, k)
+    # r = (num / den) * s^(-k), den with the s^k factor split off (still
+    # homogenised at d over m); need the Taylor coefficients of num / den
+    # up to s^(k-1)
+    taylor = _series_quotient(*_homogenised(r.num.coeffs, d), den, m, g, d,
+                              k)
     out = []
     for j in range(1, jmax + 1):
         idx = k - j
@@ -804,50 +953,7 @@ def _tokenize(text: str):
 
 
 # The grammar has only integers, i and t, and '/' only swaps numerator and
-# denominator, so every unreduced pair the parser forms lies in Z[i][t].  It
-# carries them as tuples of (re, im) int pairs, lowest degree first, with a
-# non-zero top coefficient; the zero polynomial is ().
-
-_Z_ONE = ((1, 0),)
-
-
-def _zadd(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for k, (re, im) in enumerate(b):
-        out[k] = (out[k][0] + re, out[k][1] + im)
-    while out and out[-1] == (0, 0):
-        out.pop()
-    return tuple(out)
-
-
-def _zneg(a):
-    return tuple((-re, -im) for re, im in a)
-
-
-def _zmul(a, b):
-    if not a or not b:
-        return ()
-    re = [0] * (len(a) + len(b) - 1)
-    im = re[:]
-    for j, (br, bi) in enumerate(b):
-        for k, (ar, ai) in enumerate(a, j):
-            re[k] += ar * br - ai * bi
-            im[k] += ar * bi + ai * br
-    return tuple(zip(re, im))       # Z[i] has no zero divisors: no trim
-
-
-def _zpow(a, k: int):
-    out = _Z_ONE
-    while k:
-        if k & 1:
-            out = _zmul(out, a)
-        k >>= 1
-        if k:
-            a = _zmul(a, a)
-    return out
-
+# denominator, so every unreduced pair the parser forms lies in Z[i][t].
 
 def _sum(a, b):
     """a + b on unreduced (numerator, denominator) pairs."""
@@ -911,16 +1017,8 @@ def _coprime_pair(num, den):
     if _coprime(num, den):
         return num, den
     r = RatFun(_zpoly(num), _zpoly(den))
-    cs = r.num.coeffs + r.den.coeffs
-    m = math.lcm(*(c.re.denominator for c in cs),
-                 *(c.im.denominator for c in cs))
-
-    def scaled(p):
-        return tuple((c.re.numerator * (m // c.re.denominator),
-                      c.im.numerator * (m // c.im.denominator))
-                     for c in p.coeffs)
-
-    return scaled(r.num), scaled(r.den)
+    z, _ = _common_denominator(r.num.coeffs + r.den.coeffs)
+    return z[:len(r.num.coeffs)], z[len(r.num.coeffs):]
 
 
 def _reduced_pair(num, den) -> RatFun:

@@ -46,7 +46,16 @@ from .errors import (
     SingularityTooClose,
     StepUnderflow,
 )
-from .exactalg import GaussRat, Poly, RatFun, _back_substitute, _row_echelon
+from .exactalg import (
+    _Z_ONE,
+    GaussRat,
+    RatFun,
+    _back_substitute,
+    _common_denominator,
+    _row_echelon,
+    _split_point,
+    _zmul,
+)
 from .wronskian import ScalarODE, _evaluation_point, iterated
 
 __all__ = [
@@ -194,19 +203,43 @@ class TransportDiagnostics:
 
 
 class _TaylorStepper:
-    """q Y' = -P Y, with q the monic common denominator of M, from the
-    validated pole orders, and P = q M, as complex coefficient arrays."""
+    """q Y' = -P Y, with q = prod (t - c)^(m_c) the monic common denominator
+    of M, m_c the validated pole orders, and P = q M, as complex coefficient
+    arrays.  The denominator of entry M_ij is prod (t - c)^(k_c), k_c its
+    kept pole order at c, so P_ij = num_ij prod (t - c)^(m_c - k_c).  With
+    c = g/d and num_ij = z/m over Z[i], that is z prod (d t - g)^(m_c - k_c)
+    over m prod d^(m_c - k_c): an integer product, and one correctly
+    rounded division per coefficient."""
 
     def __init__(self, conn: Connection):
         self.rank = conn.rank
-        orders = conn.validate().pole_orders
-        q = Poly.from_roots([c for c, k in orders.items() for _ in range(k)])
-        self.roots = [(c.to_complex(), k) for c, k in orders.items() if k]
+        report = conn.validate()
+        self.roots = [(c.to_complex(), k)
+                      for c, k in report.pole_orders.items() if k]
         self.sings = [c.to_complex() for c in conn.singular_points]
-        polys = [e.num * (q // e.den) for row in conn.matrix for e in row]
-        polys.append(q)
-        deg = max(p.deg for p in polys)
-        self.coeffs = np.array([[p[k].to_complex() for p in polys]
+        orders = list(report.pole_orders.values())  # in the divisor's order
+        # (d, [(d t - g)^e for e = 0 .. m_c]) at each divisor point c = g/d
+        factors = []
+        for c, k in zip(conn.singular_points, orders):
+            (gr, gi), d = _split_point(c)
+            powers = [_Z_ONE]
+            for _ in range(k):
+                powers.append(_zmul(powers[-1], ((-gr, -gi), (d, 0))))
+            factors.append((d, powers))
+
+        def column(z, m, gaps):     # z/m prod (t - c)^gap, as complex
+            for (d, powers), e in zip(factors, gaps):
+                if e:
+                    z, m = _zmul(z, powers[e]), m * d ** e
+            return [complex(re / m, im / m) for re, im in z]
+
+        polys = [column(*_common_denominator(e.num.coeffs),
+                        [m - k for m, k in zip(orders, ks)])
+                 for row, krow in zip(conn.matrix, report.entry_orders)
+                 for e, ks in zip(row, krow)]
+        polys.append(column(_Z_ONE, 1, orders))
+        deg = max(len(p) for p in polys) - 1
+        self.coeffs = np.array([[p[k] if k < len(p) else 0j for p in polys]
                                 for k in range(deg + 1)])
         j = np.arange(deg + 1)
         self.binom = np.array([[math.comb(i, r) for i in j] for r in j])

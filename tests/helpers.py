@@ -93,6 +93,47 @@ def random_connection(rng):
         else random_rank1_connection(rng)
 
 
+def random_pole_data_connection(rng):
+    """Valid rank-1 or rank-2 connection with trivial splitting, built for
+    the pole-data kernels: two or three divisor points, most of them
+    Gaussian rationals with denominators 2-7 such as (1+2i)/3 and -1/2,
+    with orders 1-3, and in half the draws numerator coefficients of height
+    up to 10^30.  Entry (0, 0) has the divisor's full order at every point;
+    each other entry N / prod (t - c)^(k_c) draws k_c in 0..m_c.  With
+    deg N <= sum k_c - 2 every entry has degree <= -2 at infinity, so the
+    residues of each entry sum to zero, as the trivial splitting needs."""
+    points, count = [], rng.randint(2, 3)
+    while len(points) < count:
+        den = rng.randint(2, 7) if rng.random() < 0.7 else 1
+        c = GaussRat(Fraction(rng.randint(-7, 7), den),
+                     Fraction(rng.randint(-3, 3), den))
+        if c not in points:
+            points.append(c)
+    orders = [rng.randint(1, 3) for _ in points]
+    height = 10 ** 30 if rng.random() < 0.5 else 9
+    rank = rng.randint(1, 2)
+    matrix = []
+    for i in range(rank):
+        row = []
+        for j in range(rank):
+            ks = orders if (i, j) == (0, 0) else \
+                [rng.randint(0, m) for m in orders]
+            if sum(ks) < 2 or ((i, j) != (0, 0) and rng.random() < 0.15):
+                row.append(RatFun.const(0))
+                continue
+            num = Poly([GaussRat(rng.randint(-height, height),
+                                 rng.randint(-height, height))
+                        for _ in range(rng.randint(1, sum(ks) - 1))])
+            den = Poly.from_roots([c for c, k in zip(points, ks)
+                                   for _ in range(k)])
+            row.append(RatFun(num, den))
+        matrix.append(row)
+    conn = Connection(SplittingType([0] * rank),
+                      Divisor(list(zip(points, orders))), matrix)
+    conn.ensure_valid()
+    return conn
+
+
 def random_poly_section(rng, conn, deg=2):
     """Nonzero section with polynomial components of bounded degree."""
     while True:

@@ -30,12 +30,14 @@ from meroconn import (
     residue,
     validate,
 )
+from meroconn.cli import parse_connection_file
 from meroconn.errors import NotASingularPoint, ValidationFailed
 from helpers import (
     lin,
     rand_fraction,
     rand_gauss,
     random_connection,
+    random_pole_data_connection,
     random_poly_section,
     random_rank1_connection,
     random_rank2_connection,
@@ -108,7 +110,27 @@ def _per_pole_cases():
     cases = [pytest.param(fixture(name), id=name) for name in fixture_names()]
     cases += [pytest.param(random_connection(rng), id=f"random{k}")
               for k in range(12)]
-    return cases
+    return cases + _pole_data_cases()
+
+
+def _pole_data_cases():
+    rng = rng_for("pole-data")
+    return [pytest.param(random_pole_data_connection(rng), id=f"poles{k}")
+            for k in range(8)]
+
+
+def _sympy_gauss(c):
+    import sympy
+
+    return (sympy.Rational(c.re_num, c.re_den)
+            + sympy.I * sympy.Rational(c.im_num, c.im_den))
+
+
+def _sympy_ratfun(r, t):
+    def poly(p):
+        return sum(_sympy_gauss(c) * t ** k for k, c in enumerate(p.coeffs))
+
+    return poly(r.num) / poly(r.den)
 
 
 class TestPerPoleData:
@@ -121,6 +143,65 @@ class TestPerPoleData:
         assert list(report.trace_residues) == conn.singular_points
         for c in conn.singular_points:
             assert report.trace_residues[c] == residue(conn.trace(), c)
+
+    @pytest.mark.parametrize("conn", _per_pole_cases())
+    def test_entry_orders(self, conn):
+        report = conn.validate()
+        assert len(report.entry_orders) == conn.rank
+        for row, krow in zip(conn.matrix, report.entry_orders):
+            for e, ks in zip(row, krow):
+                assert ks == [0 if e.is_zero() else e.den.split_root(c)[0]
+                              for c in conn.singular_points]
+        assert list(report.pole_orders.values()) == [
+            max(ks[p] for krow in report.entry_orders for ks in krow)
+            for p in range(len(conn.singular_points))]
+
+    @pytest.mark.parametrize("conn", _pole_data_cases())
+    def test_trace_residues_against_sympy(self, conn):
+        import sympy
+
+        t = sympy.Symbol("t")
+        diagonal = [_sympy_ratfun(conn.matrix[k][k], t)
+                    for k in range(conn.rank)]
+        report = conn.validate()
+        # entry (0, 0) has the divisor's full order, 1-3, at each point
+        assert report.pole_orders == dict(conn.divisor.finite_entries())
+        for c, m in conn.divisor.finite_entries():
+            # res(tr M, c) sums the diagonal's residues, each by Cauchy's
+            # formula at a pole of order <= m (sympy.residue's series
+            # expansion takes seconds on these coefficients)
+            z = _sympy_gauss(c)
+            want = sum(sympy.diff(sympy.cancel(e * (t - z) ** m), t, m - 1)
+                       .subs(t, z) for e in diagonal) / sympy.factorial(m - 1)
+            assert sympy.expand(want - _sympy_gauss(report.trace_residues[c])) \
+                == 0
+
+    def test_trace_residue_at_gaussian_double_pole(self):
+        import sympy
+
+        c = "(t-(1+2*i)/3)"
+        conn = parse_connection_file(
+            "rank 2\nsplitting 0 0\npoint (1+2*i)/3 order 2\n"
+            "point -1/2 order 1\npoint 1 order 1\nmatrix\n"
+            f"1/(5*{c}^2)+1/(2*{c})-1/(4*(t+1/2))-1/(4*(t-1)) "
+            f"1/(3*{c}^2)+1/(2*(t+1/2))-1/(2*(t-1))\n"
+            f"1/(4*{c})-1/(4*(t-1)) -1/(3*{c})+1/(6*(t+1/2))+1/(6*(t-1))\n"
+            "end\n")
+        report = conn.validate()
+        point = GaussRat(Fraction(1, 3), Fraction(2, 3))
+        assert report.entry_orders[0][0] == [2, 1, 1]
+        t = sympy.Symbol("t")
+        trace = sum(_sympy_ratfun(conn.matrix[k][k], t) for k in range(2))
+        for z in conn.singular_points:
+            want = sympy.residue(trace, t, _sympy_gauss(z))
+            assert sympy.expand(
+                want - _sympy_gauss(report.trace_residues[z])) == 0
+        assert report.trace_residues[point] == GaussRat(Fraction(1, 6))
+
+    def test_pole_data_draws_reach_high_orders(self):
+        orders = [m for conn in (p.values[0] for p in _pole_data_cases())
+                  for _, m in conn.divisor.finite_entries()]
+        assert {2, 3} <= set(orders)
 
     def test_invalid_connection_has_no_trace_residues(self):
         conn = Connection(SplittingType([0]), Divisor([(GaussRat(0), 1)]),

@@ -284,6 +284,107 @@ def test_shifted_re_expands(p, c):
     assert back == p
 
 
+# ---------------------------------------------------------------------------
+# Z[i] kernels against the GaussRat Horner
+# ---------------------------------------------------------------------------
+#
+# The oracle: synthetic division by (t - c) in GaussRat arithmetic, one
+# Horner pass per division, and the series quotient over Q(i).
+
+def _horner_divide(coeffs, c):
+    """(quotient coefficients, p(c)) of p / (t - c), in GaussRat."""
+    acc, q = GaussRat(0), []
+    for a in reversed(coeffs):
+        acc = acc * c + a
+        q.append(acc)
+    return q[-2::-1], q[-1]
+
+
+def _horner_split_root(p, c):
+    k, r = 0, list(p.coeffs)
+    while True:
+        q, value = _horner_divide(r, c)
+        if value:
+            return k, Poly(r)
+        k, r = k + 1, q
+
+
+def _horner_shift_head(coeffs, c, order):
+    coeffs, out = list(coeffs), []
+    while coeffs and len(out) < order:
+        coeffs, value = _horner_divide(coeffs, c)
+        out.append(value)
+    return out
+
+
+def _horner_series_quotient(num, den, order):
+    """Taylor coefficients up to (excluding) `order` of the quotient of two
+    series with the given coefficients; den[0] != 0."""
+    inv0 = den[0].inverse()
+    q = []
+    for m in range(order):
+        acc = num[m] if m < len(num) else GaussRat(0)
+        for j in range(min(m, len(den) - 1)):
+            acc = acc - q[m - 1 - j] * den[j + 1]
+        q.append(acc * inv0)
+    return q
+
+
+def _horner_taylor(num, den, c, order):
+    if order <= 0:
+        return []
+    return _horner_series_quotient(
+        _horner_shift_head(num.coeffs, c, order) or [GaussRat(0)],
+        _horner_shift_head(den.coeffs, c, order), order)
+
+
+def _horner_laurent(r, c, jmax):
+    k, den = _horner_split_root(r.den, c)
+    if k == 0:
+        return [GaussRat(0)] * jmax
+    taylor = _horner_taylor(r.num, den, c, k)
+    return [taylor[k - j] if k - j >= 0 else GaussRat(0)
+            for j in range(1, jmax + 1)]
+
+
+_kernel_int = st.one_of(st.integers(-9, 9),
+                        st.integers(-10 ** 30, 10 ** 30))
+_kernel_den = st.one_of(st.just(1), st.integers(1, 7),
+                        st.integers(1, 10 ** 6))
+# c = g/d with d up to 10^6 (the lcm of two such denominators in some draws)
+_kernel_gauss = st.builds(
+    lambda a, b, d, e: GaussRat(Fraction(a, d), Fraction(b, e)),
+    _kernel_int, _kernel_int, _kernel_den, _kernel_den)
+_kernel_poly = st.lists(_kernel_gauss, min_size=1, max_size=4).map(Poly)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_kernel_gauss, st.integers(min_value=0, max_value=4),
+       _kernel_poly.filter(lambda p: not p.is_zero()))
+def test_split_root_matches_horner(c, k, cofactor):
+    p = Poly([-c, GaussRat(1)]) ** k * cofactor
+    got = p.split_root(c)
+    assert got == _horner_split_root(p, c)
+    assert got[0] >= k
+    assert p.eval(c) == _horner_divide(p.coeffs, c)[1]
+    assert p.shifted(c) == Poly(_horner_shift_head(p.coeffs, c, p.deg + 1))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_kernel_gauss, st.integers(min_value=0, max_value=4), _kernel_poly,
+       _kernel_poly.filter(lambda p: not p.is_zero()))
+def test_taylor_and_laurent_match_horner(c, k, num, den):
+    value = _horner_divide(den.coeffs, c)[1]
+    if not value:
+        den = den + Poly([GaussRat(1)])         # now den(c) = 1
+    for order in range(max(num.deg, den.deg) + 3):
+        assert exactalg.taylor_coefficients(num, den, c, order) == \
+            _horner_taylor(num, den, c, order)
+    r = RatFun(num, den * Poly([-c, GaussRat(1)]) ** k)
+    assert laurent_coefficients(r, c, k + 1) == _horner_laurent(r, c, k + 1)
+    assert residue(r, c) == _horner_laurent(r, c, 1)[0]
+
+
 _gauss_poly = st.lists(st.builds(GaussRat, small_int, small_int),
                        min_size=1, max_size=5).map(Poly)
 
@@ -295,9 +396,9 @@ def test_truncated_taylor_matches_full_shift(num, den, c):
     if den.eval(c).is_zero():
         den = den + Poly([1 - den.eval(c)])      # now den(c) = 1
     top = max(num.deg, den.deg) + 2
-    full = exactalg._series_quotient(list(num.shifted(c).coeffs) or
-                                     [GaussRat(0)],
-                                     list(den.shifted(c).coeffs), top)
+    full = _horner_series_quotient(list(num.shifted(c).coeffs) or
+                                   [GaussRat(0)],
+                                   list(den.shifted(c).coeffs), top)
     for order in range(top + 1):
         assert exactalg.taylor_coefficients(num, den, c, order) == \
             full[:order]
@@ -712,3 +813,24 @@ def test_cancelling_sum_and_product(a):
 @given(_ratfun)
 def test_str_round_trip_at_guard_height(r):
     assert parse_ratfun(str(r)) == r
+
+
+class TestNegation:
+    """-r keeps r's reduced pair: no gcd is taken."""
+
+    def test_takes_no_gcd(self, monkeypatch):
+        r = RatFun(Poly.from_roots([1, GaussRat(0, 2)]) * 3,
+                   Poly.from_roots([0, 0, 5]))
+
+        def refuse(a, b):
+            raise AssertionError("gcd_poly called")
+
+        monkeypatch.setattr(exactalg, "gcd_poly", refuse)
+        neg = -r
+        assert (neg.num, neg.den) == (-r.num, r.den)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(_ratfun)
+    def test_matches_general_reduction(self, r):
+        assert -r == RatFun(-r.num, r.den)
+        _assert_canonical(-r)

@@ -48,7 +48,7 @@ from meroconn import monodromy as monodromy_mod
 from meroconn.errors import (DegenerateJet, InvalidArgument,
                              SingularityTooClose, StepUnderflow)
 from meroconn.exactalg import gcd_poly
-from helpers import random_connection, rng_for
+from helpers import random_connection, random_pole_data_connection, rng_for
 
 ONE = RatFun.const(1)
 ZERO = RatFun.const(0)
@@ -198,13 +198,17 @@ def _overstated_conn():
 
 
 def _stepper_cases():
-    """The fixtures, seeded random connections, an irregular point and an
-    overstated divisor."""
+    """The fixtures, seeded random connections, connections with poles of
+    order 1-3 at Gaussian rationals with denominators 2-7 and coefficients
+    up to 10^30, an irregular point and an overstated divisor."""
     cases = [pytest.param(fixture(name), id=name) for name in
              ("euler-half", "triangle-nilpotent", "triangle-diag",
               "two-point-reducible")]
     rng = rng_for("stepper-denominator")
     cases += [pytest.param(random_connection(rng), id=f"random{k}")
+              for k in range(12)]
+    rng = rng_for("stepper-pole-data")
+    cases += [pytest.param(random_pole_data_connection(rng), id=f"poles{k}")
               for k in range(12)]
     cases.append(pytest.param(irregular_conn(3), id="irregular3"))
     cases.append(pytest.param(_overstated_conn(), id="overstated"))
@@ -233,6 +237,20 @@ class TestStepperDenominator:
         assert not column[q.deg + 1:].any()
         assert stepper.roots == [(c.to_complex(), k)
                                  for c, k in orders.items() if k]
+
+    @pytest.mark.parametrize("conn", _stepper_cases())
+    def test_p_columns_are_rounded_exact_products(self, conn):
+        orders = conn.validate().pole_orders
+        q = Poly.from_roots([c for c, k in orders.items() for _ in range(k)])
+        stepper = monodromy_mod._TaylorStepper(conn)
+        entries = [e for row in conn.matrix for e in row]
+        for col, e in enumerate(entries):
+            want = [z.to_complex() for z in (e.num * (q // e.den)).coeffs]
+            want += [0j] * (len(stepper.coeffs) - len(want))
+            # bit for bit, signed zeros included
+            got = np.ascontiguousarray(stepper.coeffs[:, col])
+            assert (np.array(want).view(np.uint64)
+                    == got.view(np.uint64)).all()
 
     def test_overstated_divisor_keeps_actual_orders(self):
         assert _overstated_conn().validate().pole_orders == {
