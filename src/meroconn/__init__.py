@@ -73,7 +73,6 @@ from .monodromy import (
     irreducibility_check,
     loop_paths,
     monodromy_generators,
-    ode_residual,
     period_jet,
     transport,
 )
@@ -91,6 +90,7 @@ from .wronskian import (
     generation_index_at,
     h_bound,
     iterated,
+    ode_residual,
     residue_identity_check,
     spanning_sections,
     wronskian_determinant,

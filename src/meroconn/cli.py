@@ -25,11 +25,11 @@ from .connection import Connection, local_data
 from .errors import (InvalidArgument, ParseError, ToolkitError,
                      ValidationFailed)
 from .exactalg import _root_factors, parse_gaussrat, parse_ratfun
-from .monodromy import (_check_tol, achieve_with_jet, default_base,
-                        monodromy_generators, ode_residual)
+from .monodromy import achieve_with_jet, default_base, monodromy_generators
 from .wronskian import (_apparent_report, _check_twist, _generation_cap,
                         _reduce, _residue_records, estimate_H, fuchs_check,
-                        h_bound, iterated, wronskian_determinant)
+                        h_bound, iterated, ode_residual,
+                        wronskian_determinant)
 
 __all__ = ["parse_connection_file", "main"]
 
@@ -206,7 +206,7 @@ def _cmd_validate(args):
     results = {
         "ok": report.ok,
         "violations": report.violations,
-        "warnings": report.warnings,
+        "warnings": list(report.warnings),
         "rank": conn.rank,
         "splitting": list(conn.splitting.twists),
         "divisor": str(conn.divisor),
@@ -215,7 +215,17 @@ def _cmd_validate(args):
     if report.ok:
         for c, _ in conn.divisor.finite_entries():
             ld = local_data(conn, c)
-            results["local_exponents"][str(c)] = [_cpx(z) for z in ld.exponents]
+            exponents = [_cpx(z) for z in ld.exponents]
+            k = ld.effective_order
+            if k >= 2:
+                # C_1's eigenvalues are the exponents only at a simple pole
+                exponents = None
+                results["warnings"].append(
+                    f"t = {c}: pole of effective order {k}, C_{k} "
+                    + ("nilpotent: exponents need a Moser reduction"
+                       if ld.leading_nilpotent else
+                       "not nilpotent: irregular singular point"))
+            results["local_exponents"][str(c)] = exponents
     return (0 if report.ok else 1), inputs, results
 
 
@@ -242,7 +252,6 @@ def _cmd_wronskian(args):
 def _cmd_ode(args):
     conn, inputs = _load(args)
     section = _section_from_arg(conn, args.section)
-    _check_tol(args.tol)
     _, ode = _reduce(conn, section)
     verdicts = fuchs_check(ode, conn.singular_points)
     return 0, inputs, {
@@ -254,8 +263,8 @@ def _cmd_ode(args):
                             for k, p, al in bad]}
             for b, ok, bad in verdicts
         ],
-        "residual_at_base": ode_residual(conn, section, ode,
-                                         _default_probe(conn), args.tol),
+        "residual_at_probe": [str(x) for x in ode_residual(
+            conn, section, ode, _default_probe(conn))],
     }
 
 
@@ -404,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("validate", _cmd_validate)
     add("derive", _cmd_derive, "--section", "--order")
     add("wronskian", _cmd_wronskian, "--section")
-    add("ode", _cmd_ode, "--section", "--tol")
+    add("ode", _cmd_ode, "--section")
     add("classify", _cmd_classify, "--section")
     add("bound", _cmd_bound, "--n")
     add("sample-h", _cmd_sample_h, "--n", "--samples", "--seed",

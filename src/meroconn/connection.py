@@ -250,12 +250,17 @@ class LocalData:
     point: GaussRat
     laurent: list          # laurent[j-1] = exact matrix coefficient of (t-c)^(-j)
     exponents: list        # LAPACK eigenvalues of the residue matrix C_1
-    top_vanishes: bool     # True when C_{m_c} = 0 (order drop warning)
+    effective_order: int   # largest j with C_j != 0 (0 when M has no pole)
+    leading_nilpotent: bool  # C_j^rank = 0 at j = effective_order, exactly
 
 
 def local_data(conn: Connection, c) -> LocalData:
     """Exact Laurent matrices C_1..C_m at a singular point c, with the
-    eigenvalues of the residue C_1 in double precision."""
+    eigenvalues of the residue C_1 in double precision, the effective pole
+    order and whether its leading matrix is nilpotent.  At an effective
+    order >= 2 the eigenvalues of C_1 need not be the local exponents: a
+    leading matrix that is not nilpotent makes c irregular (Moser, 1960),
+    and a nilpotent one leaves the question to a Moser reduction."""
     c = _coerce(c)
     m = conn.divisor.order_at(c)
     if m == 0:
@@ -268,8 +273,16 @@ def local_data(conn: Connection, c) -> LocalData:
         laurent.append([[per_entry[i][k][j - 1] for k in range(n)]
                         for i in range(n)])
     c1 = np.array([[z.to_complex() for z in row] for row in laurent[0]])
-    top_vanishes = all(e.is_zero() for row in laurent[-1] for e in row)
+    k = max((j for j, C in enumerate(laurent, 1)
+             if any(e for row in C for e in row)), default=0)
+    lead = laurent[k - 1]          # all zero when k = 0
+    power = lead
+    for _ in range(n - 1):
+        power = [[sum((row[p] * lead[p][j] for p in range(n)), GaussRat(0))
+                  for j in range(n)] for row in power]
     return LocalData(point=c, laurent=laurent,
                      exponents=sorted(np.linalg.eigvals(c1),
                                       key=lambda z: (z.real, z.imag)),
-                     top_vanishes=top_vanishes)
+                     effective_order=k,
+                     leading_nilpotent=not any(e for row in power
+                                               for e in row))

@@ -42,7 +42,6 @@ from .connection import Connection, covariant_jet
 from .errors import (
     DegenerateJet,
     InvalidArgument,
-    SingularEvaluationPoint,
     SingularityTooClose,
     StepUnderflow,
 )
@@ -56,14 +55,14 @@ from .exactalg import (
     _split_point,
     _zmul,
 )
-from .wronskian import ScalarODE, _evaluation_point, iterated
+from .wronskian import _evaluation_point, iterated
 
 __all__ = [
     "Line", "Arc", "PathSpec", "MonodromyReport", "PeriodJet",
     "TransportDiagnostics", "IrreducibilityVerdict", "default_base",
     "loop_paths", "transport", "monodromy_generators",
     "irreducibility_check", "period_jet", "achieve_with_jet",
-    "achieve_multiplicity", "ode_residual",
+    "achieve_multiplicity",
 ]
 
 
@@ -612,22 +611,6 @@ def period_jet(conn: Connection, section: Section, t0, depth: int,
     jet = np.array([[x.to_complex() for x in row]
                     for row in covariant_jet(conn, section, b, depth)]) @ U
     return PeriodJet(base=z0, depth=depth, jet=jet, transport_error=err)
-
-
-def ode_residual(conn: Connection, section: Section, ode: ScalarODE, t0,
-                 tol: float = 1e-12) -> float:
-    """Normalized defect of the scalar equation on the numeric period jet of
-    depth rank + 1; refuses a pole of the scalar equation's coefficients,
-    such as an apparent singularity at a zero of the Wronskian."""
-    conn.ensure_valid()
-    z0 = _as_complex(t0)
-    b = _evaluation_point(conn, [section], t0)
-    if any(c.den.eval(b).is_zero() for c in ode.coeffs):
-        raise SingularEvaluationPoint(
-            f"t = {b} is a pole of the scalar equation")
-    jet = period_jet(conn, section, t0, conn.rank + 1, tol).jet
-    top = jet[conn.rank] - np.array(ode.ceval_coeffs(z0)) @ jet[:conn.rank]
-    return float(np.max(np.abs(top))) / (1.0 + float(np.max(np.abs(jet))))
 
 
 def achieve_with_jet(conn: Connection, E: Divisor, t0,

@@ -9,6 +9,7 @@ c_{alpha-1} equals A'/A + tr M exactly, where A is the Wronskian.
 
 from __future__ import annotations
 
+import cmath
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,8 +48,8 @@ __all__ = [
     "ScalarODE", "ApparentReport", "ApparentRecord", "HBoundReport",
     "ResidueCheckRecord", "iterated", "wronskian_determinant", "h_bound",
     "generation_bound", "generation_index_at", "estimate_H", "cyclic_reduce",
-    "fuchs_check", "residue_identity_check", "apparent_singularities",
-    "spanning_sections",
+    "ode_residual", "fuchs_check", "residue_identity_check",
+    "apparent_singularities", "spanning_sections",
 ]
 
 
@@ -65,9 +66,6 @@ class ScalarODE:
             raise ValueError("need one coefficient per derivative below the order")
         object.__setattr__(self, "order", int(order))
         object.__setattr__(self, "coeffs", coeffs)
-
-    def ceval_coeffs(self, z: complex):
-        return [c.ceval(z) for c in self.coeffs]
 
 
 def iterated(conn: Connection, section: Section, k: int):
@@ -145,9 +143,11 @@ def _index_at(conn: Connection, section: Section, b: GaussRat,
 
 def _evaluation_point(conn: Connection, sections, b) -> GaussRat:
     """b as an exact point, each part of a float read as the decimal Python
-    prints it; refuses a singular point and a pole of any of the sections."""
+    prints it; refuses non-finite and singular points and section poles."""
     if not isinstance(b, (GaussRat, int, Fraction)):
         z = complex(b)
+        if not cmath.isfinite(z):
+            raise InvalidArgument(f"point {b} is not finite")
         b = GaussRat(Fraction(repr(z.real)), Fraction(repr(z.imag)))
     b = _coerce(b)
     if b in set(conn.singular_points):
@@ -265,6 +265,22 @@ def cyclic_reduce(conn: Connection, section: Section) -> ScalarODE:
     """Scalar equation satisfied by every pairing of a flat dual section
     with the given section."""
     return _reduce(conn, section)[1]
+
+
+def ode_residual(conn: Connection, section: Section, ode: ScalarODE, t0):
+    """grad^a w(b) - sum_k c_k(b) grad^k w(b) at the probe b, over Q(i): 0
+    for the section's own equation; refuses a pole of the coefficients,
+    such as an apparent singularity at a zero of the Wronskian."""
+    conn.ensure_valid()
+    b = _evaluation_point(conn, [section], t0)
+    if any(c.den.eval(b).is_zero() for c in ode.coeffs):
+        raise SingularEvaluationPoint(
+            f"t = {b} is a pole of the scalar equation")
+    *jet, top = covariant_jet(conn, section, b, conn.rank + 1)
+    for c, values in zip(ode.coeffs, jet):
+        cb = c.eval(b)
+        top = [x - cb * v for x, v in zip(top, values)]
+    return top
 
 
 def fuchs_check(ode: ScalarODE, points):

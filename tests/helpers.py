@@ -8,6 +8,8 @@ import random
 import zlib
 from fractions import Fraction
 
+import numpy as np
+
 from meroconn import (
     Connection,
     Divisor,
@@ -16,10 +18,27 @@ from meroconn import (
     RatFun,
     Section,
     SplittingType,
+    period_jet,
 )
 from meroconn.cli import main
 
 ZERO = GaussRat(0)
+
+# a pole of order 2 at t = 0 with C_2 = diag(1, -1), not nilpotent: t = 0 is
+# irregular, and C_1 there has the eigenvalues 0, 0, which are no exponents
+IRREGULAR_CONN = (
+    "rank 2\nsplitting 0 0\npoint 0 order 2\npoint 1 order 1\n"
+    "point 2 order 1\nmatrix\n1/t^2 1/(t*(t-1))\n"
+    "1/((t-1)*(t-2)) -1/t^2\nend\n")
+
+# triangle-diag in the frame diag(1, t - 1), on O(0) + O(-1): its monodromy
+# is the fixture's, and at t = 1 it has C_2 = [[0, 0], [1/16, 0]], nilpotent,
+# and a C_1 with the eigenvalues 0, 1, which would predict a generator trace
+# of 2 where the generator's trace is 0
+GAUGE_TWIN_CONN = (
+    "rank 2\nsplitting 0 -1\npoint 0 order 1\npoint 1 order 2\n"
+    "point 2 order 1\nmatrix\n1/(4*t)-1/(4*(t-2)) -1/(t-2)\n"
+    "-1/(16*(t-1)^2*(t-2)) -1/(4*t)+1/(4*(t-2))+1/(t-1)\nend\n")
 
 
 def _not_json(constant):
@@ -93,8 +112,9 @@ def random_connection(rng):
         else random_rank1_connection(rng)
 
 
-def random_pole_data_connection(rng):
-    """Valid rank-1 or rank-2 connection with trivial splitting, built for
+def random_pole_data_connection(rng, rank=None):
+    """Valid connection with trivial splitting, of the given rank or else
+    of rank 1 or 2 drawn from rng, built for
     the pole-data kernels: two or three divisor points, most of them
     Gaussian rationals with denominators 2-7 such as (1+2i)/3 and -1/2,
     with orders 1-3, and in half the draws numerator coefficients of height
@@ -111,7 +131,8 @@ def random_pole_data_connection(rng):
             points.append(c)
     orders = [rng.randint(1, 3) for _ in points]
     height = 10 ** 30 if rng.random() < 0.5 else 9
-    rank = rng.randint(1, 2)
+    if rank is None:
+        rank = rng.randint(1, 2)
     matrix = []
     for i in range(rank):
         row = []
@@ -132,6 +153,17 @@ def random_pole_data_connection(rng):
                       Divisor(list(zip(points, orders))), matrix)
     conn.ensure_valid()
     return conn
+
+
+def period_jet_residual(conn, section, ode, t0, tol=1e-12) -> float:
+    """Float defect of a scalar equation on the numeric period jet of depth
+    rank + 1 at t0, normalized by the jet's size: each column of the jet
+    is a period, a solution of the equation, so it is roundoff when the
+    equation is right."""
+    jet = period_jet(conn, section, t0, conn.rank + 1, tol).jet
+    coeffs = np.array([c.ceval(complex(t0)) for c in ode.coeffs])
+    top = jet[conn.rank] - coeffs @ jet[:conn.rank]
+    return float(np.max(np.abs(top))) / (1.0 + float(np.max(np.abs(jet))))
 
 
 def random_poly_section(rng, conn, deg=2):

@@ -13,9 +13,10 @@ import pytest
 from meroconn import (Section, fixture, fixture_file, fixture_names, iterated,
                       parse_ratfun)
 from meroconn.cli import main, parse_connection_file
+from meroconn import monodromy as monodromy_mod
 from meroconn.monodromy import period_jet
 from meroconn.errors import ParseError, ValidationFailed
-from helpers import run_json
+from helpers import GAUGE_TWIN_CONN, IRREGULAR_CONN, run_json
 
 
 def run_cli(args, cwd=None, timeout=None):
@@ -134,6 +135,45 @@ class TestSubcommands:
         code, report = run_json(["validate", euler_file])
         assert code == 0
         assert report["results"]["ok"]
+
+    @pytest.mark.parametrize("name", fixture_names())
+    @pytest.mark.parametrize("section", [[], ["t^2+1", "t-3"]])
+    def test_ode_residual_is_exactly_zero(self, tmp_path, name, section):
+        path = tmp_path / f"{name}.conn"
+        path.write_text(fixture_file(name))
+        rank = fixture(name).rank
+        flags = ["--section=" + ",".join(section[:rank])] if section else []
+        code, report = run_json(["ode", str(path), *flags])
+        assert code == 0
+        assert report["results"]["residual_at_probe"] == ["0"] * rank
+        assert report["tolerances"] == {"tol": None}
+
+    def test_ode_runs_no_transport(self, euler_file, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("ode transported a frame")
+
+        monkeypatch.setattr(monodromy_mod, "_transport", refuse)
+        code, report = run_json(["ode", euler_file, "--section=t^2+1"])
+        assert code == 0
+        assert report["results"]["residual_at_probe"] == ["0"]
+
+    @pytest.mark.parametrize("text, point, label", [
+        (IRREGULAR_CONN, "0", "C_2 not nilpotent: irregular singular point"),
+        (GAUGE_TWIN_CONN, "1",
+         "C_2 nilpotent: exponents need a Moser reduction"),
+    ], ids=["irregular", "gauge-twin"])
+    def test_validate_withholds_exponents_at_higher_order_poles(
+            self, tmp_path, text, point, label):
+        path = tmp_path / "higher.conn"
+        path.write_text(text)
+        code, report = run_json(["validate", str(path)])
+        assert code == 0
+        results = report["results"]
+        assert results["warnings"] == [
+            f"t = {point}: pole of effective order 2, {label}"]
+        exponents = results["local_exponents"]
+        assert exponents.pop(point) is None
+        assert all(len(e) == 2 for e in exponents.values())
 
     def test_derive(self, euler_file):
         code, report = run_json(["derive", euler_file, "--order", "2",
@@ -316,10 +356,10 @@ class TestArguments:
 
     @pytest.mark.parametrize("argv", [
         ["monodromy", "euler.conn", "--tol=-1"],
-        ["ode", "euler.conn", "--tol=-1"],
+        ["monodromy", "euler.conn", "--tol=-inf"],
         ["monodromy", "euler.conn", "--tol=0"],
         ["monodromy", "euler.conn", "--tol=inf"],
-        ["ode", "euler.conn", "--tol=inf"],
+        ["monodromy", "euler.conn", "--tol=1e-400"],
         ["monodromy", "euler.conn", "--tol=nan"]])
     def test_negative_tol(self, files, capsys, argv):
         err = self._domain_error(capsys, [argv[0], str(files / argv[1]),
@@ -327,16 +367,15 @@ class TestArguments:
         assert "tol must be positive" in err
 
     @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
-    def test_ode_tol_checked_before_reduction(self, files, capsys,
-                                              monkeypatch, tol):
+    def test_ode_tol_checked_before_reduction(self, files, monkeypatch, tol):
+        # ode checks its scalar equation exactly and reads no --tol: the
+        # flag is a usage error, raised before any iterate is derived
         def refuse(*args):
-            raise AssertionError("the iterates were derived before the tol "
-                                 "check")
+            raise AssertionError("the iterates were derived before the "
+                                 "arguments were checked")
 
         monkeypatch.setattr("meroconn.wronskian.iterated", refuse)
-        err = self._domain_error(capsys, ["ode", str(files / "euler.conn"),
-                                          f"--tol={tol}"])
-        assert "tol must be positive" in err
+        assert main(["ode", str(files / "euler.conn"), f"--tol={tol}"]) == 2
 
     @pytest.mark.parametrize("argv, message", [
         (["sample-h", "--pole-divisor", "0^0"], "order must be >= 1"),
@@ -379,7 +418,8 @@ class TestArguments:
                                       ["wronskian", "--seed", "1"],
                                       ["bound", "--section=1"],
                                       ["monodromy", "--n", "2"],
-                                      ["achieve", "--tol", "1e-3"]])
+                                      ["achieve", "--tol", "1e-3"],
+                                      ["ode", "--tol", "1e-3"]])
     def test_unread_flag_is_usage_error(self, files, argv):
         assert main([argv[0], str(files / "euler.conn"), *argv[1:]]) == 2
 
@@ -388,9 +428,11 @@ class TestArguments:
         _, report = run_json(["wronskian", path])
         assert report["seed"] is None
         assert report["tolerances"] == {"tol": None}
-        _, report = run_json(["ode", path, "--tol", "1e-10"])
+        _, report = run_json(["monodromy", path, "--tol", "1e-10"])
         assert report["seed"] is None
         assert report["tolerances"] == {"tol": 1e-10}
+        _, report = run_json(["ode", path])
+        assert report["tolerances"] == {"tol": None}
         _, report = run_json(["sample-h", path, "--samples", "3",
                               "--seed", "4"])
         assert report["seed"] == 4

@@ -33,6 +33,8 @@ from meroconn import (
 from meroconn.cli import parse_connection_file
 from meroconn.errors import NotASingularPoint, ValidationFailed
 from helpers import (
+    GAUGE_TWIN_CONN,
+    IRREGULAR_CONN,
     lin,
     rand_fraction,
     rand_gauss,
@@ -115,8 +117,12 @@ def _per_pole_cases():
 
 def _pole_data_cases():
     rng = rng_for("pole-data")
-    return [pytest.param(random_pole_data_connection(rng), id=f"poles{k}")
-            for k in range(8)]
+    cases = [pytest.param(random_pole_data_connection(rng), id=f"poles{k}")
+             for k in range(8)]
+    rng = rng_for("pole-data-rank34")
+    return cases + [pytest.param(random_pole_data_connection(rng, rank),
+                                 id=f"poles-rank{rank}-{k}")
+                    for rank in (3, 4) for k in range(4)]
 
 
 def _sympy_gauss(c):
@@ -459,7 +465,7 @@ class TestLocalData:
         assert ld.laurent[0] == [[GaussRat(0), GaussRat(1)],
                                  [GaussRat(0), GaussRat(0)]]
         assert np.allclose(ld.exponents, [0, 0])
-        assert not ld.top_vanishes
+        assert ld.effective_order == 1 and ld.leading_nilpotent
 
     def test_scalar_residue_exponents_exact(self):
         # C_1 = I/3 at 0: the eigenvalues of a scalar matrix are exact,
@@ -473,6 +479,36 @@ class TestLocalData:
                              - 1 / 3)) <= 1e-15
         assert np.max(np.abs(np.array(local_data(conn, 1).exponents)
                              + 1 / 3)) <= 1e-15
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_fixture_poles_are_simple(self, name):
+        conn = fixture(name)
+        for c in conn.singular_points:
+            assert local_data(conn, c).effective_order == 1
+
+    @pytest.mark.parametrize("text, point, nilpotent", [
+        (IRREGULAR_CONN, 0, False), (GAUGE_TWIN_CONN, 1, True)],
+        ids=["irregular", "gauge-twin"])
+    def test_higher_order_pole_labels(self, text, point, nilpotent):
+        conn = parse_connection_file(text)
+        ld = local_data(conn, point)
+        assert ld.effective_order == 2
+        assert ld.leading_nilpotent is nilpotent
+        assert any(e for row in ld.laurent[1] for e in row)
+        # the other points of both examples are simple poles
+        for c in conn.singular_points:
+            if c != GaussRat(point):
+                assert local_data(conn, c).effective_order == 1
+
+    def test_effective_order_below_the_divisor(self):
+        # the divisor allows order 2 at 0 where M has a simple pole, so C_2
+        # vanishes: the effective order is 1 (the old order-drop warning)
+        conn = Connection(SplittingType([0]),
+                          Divisor([(GaussRat(0), 2), (GaussRat(1), 1)]),
+                          [[ONE / T - ONE / (T - ONE)]])
+        ld = local_data(conn, 0)
+        assert len(ld.laurent) == 2 and ld.effective_order == 1
+        assert not ld.leading_nilpotent
 
     def test_not_singular(self):
         with pytest.raises(NotASingularPoint):

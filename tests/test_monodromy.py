@@ -22,6 +22,7 @@ from meroconn import (
     Line,
     Poly,
     RatFun,
+    ScalarODE,
     Section,
     SplittingType,
     achieve_multiplicity,
@@ -45,10 +46,12 @@ from meroconn import (
     wronskian_determinant,
 )
 from meroconn import monodromy as monodromy_mod
+from meroconn.cli import parse_connection_file
 from meroconn.errors import (DegenerateJet, InvalidArgument,
                              SingularityTooClose, StepUnderflow)
 from meroconn.exactalg import gcd_poly
-from helpers import random_connection, random_pole_data_connection, rng_for
+from helpers import (GAUGE_TWIN_CONN, period_jet_residual, random_connection,
+                     random_pole_data_connection, rng_for)
 
 ONE = RatFun.const(1)
 ZERO = RatFun.const(0)
@@ -198,9 +201,10 @@ def _overstated_conn():
 
 
 def _stepper_cases():
-    """The fixtures, seeded random connections, connections with poles of
-    order 1-3 at Gaussian rationals with denominators 2-7 and coefficients
-    up to 10^30, an irregular point and an overstated divisor."""
+    """The fixtures, seeded random connections, connections of rank 1-4
+    with poles of order 1-3 at Gaussian rationals with denominators 2-7
+    and coefficients up to 10^30, an irregular point and an overstated
+    divisor."""
     cases = [pytest.param(fixture(name), id=name) for name in
              ("euler-half", "triangle-nilpotent", "triangle-diag",
               "two-point-reducible")]
@@ -210,6 +214,10 @@ def _stepper_cases():
     rng = rng_for("stepper-pole-data")
     cases += [pytest.param(random_pole_data_connection(rng), id=f"poles{k}")
               for k in range(12)]
+    rng = rng_for("stepper-pole-data-rank34")
+    cases += [pytest.param(random_pole_data_connection(rng, rank),
+                           id=f"poles-rank{rank}-{k}")
+              for rank in (3, 4) for k in range(4)]
     cases.append(pytest.param(irregular_conn(3), id="irregular3"))
     cases.append(pytest.param(_overstated_conn(), id="overstated"))
     return cases
@@ -284,6 +292,20 @@ class TestMonodromyGenerators:
             got = sorted(np.linalg.eigvals(report.generator(c)),
                          key=lambda z: (round(z.real, 6), round(z.imag, 6)))
             assert max(abs(w - g) for w, g in zip(want, got)) < 1e-6
+
+    def test_gauge_twin_double_pole_has_no_exponents(self):
+        # at the twin's double pole t = 1, C_1's eigenvalues 0 and 1 predict
+        # a generator trace of 2; the generator is conjugate to
+        # triangle-diag's, whose trace is 0, so C_1 gives no exponents there
+        twin = parse_connection_file(GAUGE_TWIN_CONN)
+        ld = local_data(twin, 1)
+        assert ld.effective_order == 2 and ld.leading_nilpotent
+        predicted = sum(cmath.exp(-2j * math.pi * complex(e))
+                        for e in ld.exponents)
+        assert abs(predicted - 2) < 1e-9
+        traces = [np.trace(monodromy_generators(conn, tol=1e-12).generator(1))
+                  for conn in (twin, fixture("triangle-diag"))]
+        assert abs(traces[0] - traces[1]) < 1e-9 and abs(traces[0]) < 1e-6
 
 
 def _assert_witness(verdict, mats):
@@ -474,17 +496,48 @@ class TestPeriodJet:
 
 
 class TestOdeResidual:
+    """ode_residual is exactly 0 for the section's own scalar equation; the
+    numeric period jet satisfies the equation up to roundoff."""
+
     def test_free_equation(self):
         conn = zero_conn(rank=2)
         omega = Section([ONE, T], conn.splitting)
         ode = cyclic_reduce(conn, omega)
-        assert ode_residual(conn, omega, ode, 2.0 + 1.0j, tol=1e-12) < 1e-12
+        assert ode_residual(conn, omega, ode, 2.0 + 1.0j) == [GaussRat(0)] * 2
+        assert period_jet_residual(conn, omega, ode, 2.0 + 1.0j) < 1e-12
 
     def test_euler(self):
         conn = fixture("euler-half")
         omega = Section([ONE], conn.splitting)
         ode = cyclic_reduce(conn, omega)
-        assert ode_residual(conn, omega, ode, 2.5 + 0.5j, tol=1e-12) < 1e-9
+        assert ode_residual(conn, omega, ode, 2.5 + 0.5j) == [GaussRat(0)]
+        assert period_jet_residual(conn, omega, ode, 2.5 + 0.5j) < 1e-9
+
+    @pytest.mark.parametrize("t0", [complex("nan"), complex("inf"),
+                                    1 + 1j * math.inf])
+    def test_probe_not_finite(self, t0):
+        conn = fixture("euler-half")
+        omega = Section([ONE], conn.splitting)
+        ode = cyclic_reduce(conn, omega)
+        with pytest.raises(InvalidArgument, match="not finite"):
+            ode_residual(conn, omega, ode, t0)
+        with pytest.raises(InvalidArgument, match="not finite"):
+            generation_index_at(conn, omega, t0)
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_perturbed_equation_leaves_a_residual(self, name):
+        # c_0 + 1 adds grad^0 w(b) to the residual, which is not 0 off the
+        # section's zeros: the exact check cannot pass vacuously
+        conn = fixture(name)
+        omega = Section([T * T + ONE] + [T - RatFun.const(3)]
+                        * (conn.rank - 1), conn.splitting)
+        ode = cyclic_reduce(conn, omega)
+        t0 = default_base(conn) + 0.25j
+        assert ode_residual(conn, omega, ode, t0) == [GaussRat(0)] * conn.rank
+        bad = ScalarODE(ode.order, (ode.coeffs[0] + ONE, *ode.coeffs[1:]))
+        b = GaussRat(Fraction(repr(t0.real)), Fraction(repr(t0.imag)))
+        assert ode_residual(conn, omega, bad, t0) == [-c.eval(b)
+                                                      for c in omega.comps]
 
 
 class TestAchieveMultiplicity:
@@ -948,7 +1001,8 @@ class TestRoute:
         jet = period_jet(conn, omega, t0, depth=2)
         assert jet.transport_error < 1e-10
         ode = cyclic_reduce(conn, omega)
-        assert ode_residual(conn, omega, ode, t0) < 1e-8
+        assert ode_residual(conn, omega, ode, t0) == [GaussRat(0)] * 2
+        assert period_jet_residual(conn, omega, ode, t0) < 1e-8
         # achieve_with_jet solves its exact kernel at t0 and transports
         # nothing: the low entries are exactly 0 this close to the pole too
         omega, jet = achieve_with_jet(conn, parse_divisor("inf^1"), t0)

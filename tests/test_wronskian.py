@@ -482,10 +482,11 @@ class TestDerivedOnce:
         assert decomposed == numerators
 
     def test_ode_derives_rank_iterates(self, counts, tri):
-        # the scalar equation derives grad^1 w and grad^2 w; the period jet
-        # reads their values at the probe from the Taylor jet
+        # the scalar equation derives grad^1 w and grad^2 w; the exact
+        # residual reads their values at the probe from the Taylor jet
         code, report = run_json(["ode", tri, "--section=t^2+1,t-3"])
-        assert code == 0 and report["results"]["residual_at_base"] < 1e-8
+        assert code == 0
+        assert report["results"]["residual_at_probe"] == ["0", "0"]
         assert counts["covariant_derivative"] == 2
 
     def test_classify_decomposes_numerator_once(self, monkeypatch, tri):
